@@ -1,232 +1,3 @@
-(* Streaming .bench reader: same grammar, same elaboration semantics
-   as Bench_format, but the circuit is accumulated directly as the
-   old-id CSR columns Netlist.of_csr consumes — gate cells, wire
-   loads, and the packed fanin column — instead of a Builder record
-   graph.  Gates are appended in exactly the order Bench_format's
-   Builder would create them (same statement passes, same worklist
-   rounds, same decomposition recursion), so the resulting netlist is
-   indistinguishable: same ids, same flat view, bit-identical sweeps.
-   test/test_arena.ml pins this equivalence.
-
-   What "streaming" buys at scale: peak construction memory is the
-   retained statements plus a few words per fanin edge (the columns),
-   rather than a gate record, a fanin node list and a fanout list cell
-   per gate — the difference between loading a million-gate .bench in
-   the columns' ~100 MB and multiplying it through the OCaml heap. *)
-
-open Bench_format
-
-let fail line fmt =
-  Printf.ksprintf (fun message -> raise (Error { line; message })) fmt
-
-(* Minimal growable array; [push] uses the pushed value as the fill
-   element so no dummy is needed. *)
-module Vec = struct
-  type 'a t = { mutable a : 'a array; mutable len : int }
-
-  let create () = { a = [||]; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let cap = max 8 (2 * Array.length v.a) in
-      let na = Array.make cap x in
-      Array.blit v.a 0 na 0 v.len;
-      v.a <- na
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let to_array v = Array.sub v.a 0 v.len
-end
-
-(* CSR accumulator.  Nodes are encoded as Netlist.of_csr expects:
-   gate [g] as [g], primary input [i] as [-i - 1]. *)
-type csr = {
-  pi_names : string Vec.t;
-  cells : Cell.t Vec.t;
-  wire_loads : float Vec.t;
-  fi_off : int Vec.t;  (* n_gates + 1 entries once finalised *)
-  fi_node : int Vec.t;
-}
-
-let add_pi c name =
-  let i = c.pi_names.Vec.len in
-  Vec.push c.pi_names name;
-  -i - 1
-
-let add_gate c ~wire_load ~cell fanin =
-  let g = c.cells.Vec.len in
-  Vec.push c.cells cell;
-  Vec.push c.wire_loads wire_load;
-  List.iter (Vec.push c.fi_node) fanin;
-  Vec.push c.fi_off c.fi_node.Vec.len;
-  g
-
-let named ~library ~line name =
-  match Cell.Library.find library name with
-  | Some c -> c
-  | None -> fail line "library has no cell %s" name
-
-let sized_cell ~library op arity =
-  Cell.Library.find library (Printf.sprintf "%s%d" (String.lowercase_ascii op) arity)
-
-(* Bench_format.instantiate, verbatim semantics, over encoded nodes. *)
-let rec instantiate ~c ~library ~wire_load ~line op fanin =
-  let arity = List.length fanin in
-  let direct cell = add_gate c ~wire_load ~cell fanin in
-  let split_reduce reduce_op =
-    let k = arity / 2 in
-    let left = List.filteri (fun i _ -> i < k) fanin in
-    let right = List.filteri (fun i _ -> i >= k) fanin in
-    ( instantiate ~c ~library ~wire_load ~line reduce_op left,
-      instantiate ~c ~library ~wire_load ~line reduce_op right )
-  in
-  match (op, arity) with
-  | _, 0 -> fail line "%s with no inputs" op
-  | ("AND" | "OR"), 1 -> List.hd fanin
-  | "NOT", 1 -> direct (named ~library ~line "inv")
-  | ("BUFF" | "BUF"), 1 -> direct (named ~library ~line "buf")
-  | ("AND" | "OR" | "NAND" | "NOR" | "XOR"), n when n >= 2 -> (
-      match sized_cell ~library op n with
-      | Some cell -> direct cell
-      | None -> (
-          match op with
-          | "AND" | "OR" ->
-              let l, r = split_reduce op in
-              add_gate c ~wire_load
-                ~cell:(named ~library ~line (String.lowercase_ascii op ^ "2"))
-                [ l; r ]
-          | "NAND" | "NOR" ->
-              let reduce_op = if op = "NAND" then "AND" else "OR" in
-              let l, r = split_reduce reduce_op in
-              add_gate c ~wire_load
-                ~cell:(named ~library ~line (String.lowercase_ascii op ^ "2"))
-                [ l; r ]
-          | "XOR" ->
-              let cell = named ~library ~line "xor2" in
-              List.fold_left
-                (fun acc x -> add_gate c ~wire_load ~cell [ acc; x ])
-                (List.hd fanin) (List.tl fanin)
-          | _ -> assert false))
-  | _ -> fail line "unsupported operator %s with %d inputs" op arity
-
-(* A pass-3 output in statement order: an OUTPUT directive, or a DFF
-   whose data input becomes a pseudo primary output. *)
-type out_stmt = Out of string | Dff of assign
-
-(* [next_line ()] yields raw lines until [None].  Statements are
-   elaborated with the same three passes as Bench_format.build; pass 1
-   runs inline while lines stream by (INPUTs and DFF pseudo-inputs are
-   registered in statement order), the rest is deferred. *)
-let build_stream ?(wire_load = 1.0) ~library next_line =
-  let c =
-    {
-      pi_names = Vec.create ();
-      cells = Vec.create ();
-      wire_loads = Vec.create ();
-      fi_off = Vec.create ();
-      fi_node = Vec.create ();
-    }
-  in
-  Vec.push c.fi_off 0;
-  let net_node : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let assigns = Vec.create () in
-  let outs = Vec.create () in
-  let line_no = ref 0 in
-  let rec read () =
-    match next_line () with
-    | None -> ()
-    | Some raw ->
-        incr line_no;
-        (match parse_line !line_no raw with
-        | None -> ()
-        | Some (Input name) ->
-            if Hashtbl.mem net_node name then
-              failwith ("duplicate INPUT " ^ name);
-            Hashtbl.replace net_node name (add_pi c name)
-        | Some (Output name) -> Vec.push outs (Out name)
-        | Some (Assign ({ op = "DFF"; target; _ } as a)) ->
-            Hashtbl.replace net_node target (add_pi c (target ^ "_ff"));
-            Vec.push outs (Dff a)
-        | Some (Assign a) -> Vec.push assigns a);
-        read ()
-  in
-  read ();
-  (* Pass 2: combinational assignments in dependency order — the same
-     worklist rounds (and therefore the same gate ids) as
-     Bench_format.build. *)
-  let remaining = ref (Array.to_list (Vec.to_array assigns)) in
-  let stuck = ref false in
-  while !remaining <> [] && not !stuck do
-    let ready, blocked =
-      List.partition
-        (fun { args; _ } -> List.for_all (Hashtbl.mem net_node) args)
-        !remaining
-    in
-    if ready = [] then stuck := true
-    else begin
-      List.iter
-        (fun { target; op; args } ->
-          if Hashtbl.mem net_node target then
-            failwith ("net driven twice: " ^ target);
-          let fanin = List.map (Hashtbl.find net_node) args in
-          let node = instantiate ~c ~library ~wire_load ~line:0 op fanin in
-          Hashtbl.replace net_node target node)
-        ready;
-      remaining := blocked
-    end
-  done;
-  if !stuck then failwith "combinational cycle or undriven net in .bench file";
-  (* Pass 3: primary outputs and DFF data inputs, in statement order. *)
-  let outputs = ref [] in
-  Array.iter
-    (function
-      | Out name -> outputs := (name, name) :: !outputs
-      | Dff { target; args = [ d ]; _ } ->
-          outputs := (d, target ^ "_d") :: !outputs
-      | Dff _ -> failwith "DFF takes one input")
-    (Vec.to_array outs);
-  let outputs = List.rev !outputs in
-  let pos =
-    Array.of_list
-      (List.map
-         (fun (net, _) ->
-           match Hashtbl.find_opt net_node net with
-           | Some e -> if e >= 0 then Netlist.Gate e else Netlist.Pi (-e - 1)
-           | None -> failwith ("output " ^ net ^ " is not driven"))
-         outputs)
-  in
-  let po_names = Array.of_list (List.map snd outputs) in
-  Netlist.of_csr ~name:"bench" ~pi_names:(Vec.to_array c.pi_names)
-    ~cells:(Vec.to_array c.cells) ~wire_loads:(Vec.to_array c.wire_loads)
-    ~fi_off:(Vec.to_array c.fi_off) ~fi_node:(Vec.to_array c.fi_node) ~pos
-    ~po_names ()
-
-let wrap f =
-  match f () with
-  | netlist -> Ok netlist
-  | exception Error e -> Result.Error e
-  | exception Failure m -> Result.Error { line = 0; message = m }
-  | exception Invalid_argument m -> Result.Error { line = 0; message = m }
-
-let parse_string ?wire_load ~library text =
-  let lines = String.split_on_char '\n' text in
-  let rest = ref lines in
-  let next () =
-    match !rest with
-    | [] -> None
-    | l :: tl ->
-        rest := tl;
-        Some l
-  in
-  wrap (fun () -> build_stream ?wire_load ~library next)
-
-let parse_file ?wire_load ~library path =
-  match open_in path with
-  | exception Sys_error m -> Result.Error { line = 0; message = m }
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let next () = In_channel.input_line ic in
-          wrap (fun () -> build_stream ?wire_load ~library next))
+(* The former name of the .bench loader, kept for existing callers. *)
+let parse_string = Bench_format.parse_string
+let parse_file = Bench_format.parse_file

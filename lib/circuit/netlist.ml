@@ -199,7 +199,10 @@ let levels t =
     (Lazy.force t.gates_l);
   lvl
 
-let depth t = if n_gates t = 0 then 0 else Array.fold_left max 0 (levels t)
+let depth t =
+  match t.bucket_cache with
+  | Some buckets -> Array.length buckets
+  | None -> if n_gates t = 0 then 0 else Array.fold_left max 0 (levels t)
 
 (* Level buckets from a per-gate level array (ascending-id iteration
    keeps every bucket sorted by gate id). *)
@@ -391,8 +394,8 @@ let flat t =
 (* ---- streaming CSR construction ---------------------------------------------
 
    [of_csr] builds a netlist directly from old-id CSR columns — the
-   entry point for streaming loaders (Bench_stream) that never hold a
-   record graph.  The permuted flat view and the level buckets are
+   entry point for loaders (Bench_format) that never build a record
+   graph.  The permuted flat view and the level buckets are
    computed here, straight from the columns, and pre-seeded into the
    caches; the record planes ([gates] / [fanout]) are reconstructed
    lazily from the retained columns only if a record-level accessor is

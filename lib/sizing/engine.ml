@@ -314,9 +314,9 @@ let baseline_fallback net objective =
    optimal on the mean, so a strong warm start (and fallback) for the
    nonconvex statistical solve.  [None] when the objective has no GP
    analogue, or when the GP itself could not certify its answer. *)
-let gp_sizes net objective =
+let gp_sizes ?deadline net objective =
   let run o =
-    let sol = Gp.solve net o in
+    let sol = Gp.solve ?deadline net o in
     match sol.Gp.status with
     | Gp.Optimal -> Some sol.Gp.sizes
     | Gp.Infeasible | Gp.Stalled -> None
@@ -329,10 +329,10 @@ let gp_sizes net objective =
 
 (* Warm-start sizes for [options.warm_start]; takes precedence over
    [options.start] when it produces a point. *)
-let warm_start_sizes ~warm net objective =
+let warm_start_sizes ?deadline ~warm net objective =
   match warm with
   | `None -> None
-  | `Gp -> gp_sizes net objective
+  | `Gp -> gp_sizes ?deadline net objective
   | `Baseline -> baseline_fallback net objective
 
 let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model net
@@ -340,6 +340,11 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
   let started = Sys.time () in
   let wall0 = Util.Instr.now_ns () in
   let elapsed () = float_of_int (Util.Instr.now_ns () - wall0) /. 1e9 in
+  (* What is left of the deadline: each attempt and rung gets only this,
+     so the deadline bounds the whole ladder, not each rung. *)
+  let remaining () =
+    Option.map (fun d -> Float.max 0. (d -. elapsed ())) options.deadline
+  in
   match objective with
   | Objective.Min_area ->
       (* Every speed factor at its lower bound is optimal: area is strictly
@@ -378,7 +383,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
              solve). *)
           warm_start = `None;
           solver;
-          deadline = Option.map (fun d -> Float.max 0. (d -. elapsed ())) options.deadline;
+          deadline = remaining ();
           max_evaluations =
             Option.map (fun m -> max 0 (m - warm.evaluations)) options.max_evaluations;
         }
@@ -416,13 +421,10 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
         match options.instrument with None -> problem | Some f -> f problem
       in
       let total_evals = ref 0 in
-      (* Each attempt gets whatever is left of the overall budget, so the
-         deadline bounds the whole ladder, not each rung. *)
       let with_budget (solver : Nlp.Auglag.options) =
         {
           solver with
-          Nlp.Auglag.deadline =
-            Option.map (fun d -> Float.max 0. (d -. elapsed ())) options.deadline;
+          Nlp.Auglag.deadline = remaining ();
           Nlp.Auglag.max_evaluations =
             Option.map (fun m -> max 0 (m - !total_evals)) options.max_evaluations;
         }
@@ -451,7 +453,9 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
           :: !attempts
       in
       let start =
-        match warm_start_sizes ~warm:options.warm_start net objective with
+        match
+          warm_start_sizes ?deadline:(remaining ()) ~warm:options.warm_start net objective
+        with
         | Some sizes ->
             (* GP/baseline sizes are already valid sizings; clamp
                defensively so a warm start can never fail the box. *)
@@ -551,11 +555,15 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
                 (* Solver rungs exhausted: globally-optimal-on-the-mean
                    GP sizing first, then the deterministic baseline, if
                    the objective has either. *)
-                if budget_left () then begin
-                  match gp_sizes net objective with
+                if not (budget_left ()) then (best, None)
+                else begin
+                  match gp_sizes ?deadline:(remaining ()) net objective with
                   | Some sizes ->
                       Util.Instr.incr c_rung_gp;
                       (best, Some (Gp_fallback, sizes))
+                  | None when not (budget_left ()) ->
+                      (* The GP spent what was left of the deadline. *)
+                      (best, None)
                   | None -> (
                       match baseline_fallback net objective with
                       | Some sizes ->
@@ -563,7 +571,6 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
                           (best, Some (Baseline_fallback, sizes))
                       | None -> (best, None))
                 end
-                else (best, None)
             | (rung, counter, attempt) :: rest ->
                 if not (budget_left ()) then (best, None)
                 else begin

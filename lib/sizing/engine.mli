@@ -34,8 +34,9 @@
     sizing, degrading to (5) the deterministic {!Baseline} when the GP
     has no analogue or cannot certify, recording every rung taken in
     [solution.recovery].  Optional [deadline] / [max_evaluations]
-    budgets bound the {e whole} ladder, not each rung; a [Deadline]
-    exit returns the best iterate seen and stops the ladder.
+    budgets bound the {e whole} ladder, not each rung, the GP rung
+    included (it gets the remaining deadline); a [Deadline] exit
+    returns the best iterate seen and stops the ladder.
     Instrumented via {!Util.Instr}: counters [engine.solve],
     [engine.cache_hit], [engine.cache_miss],
     [engine.recovery.engaged], [engine.recovery.<rung>] and timer

@@ -592,7 +592,7 @@ let cg_solve ws ~max_iterations =
    test.  Returns [`Converged] or [`Stalled], plus the steps taken. *)
 let debug = try Sys.getenv "STATSIZE_GP_DEBUG" = "1" with Not_found -> false
 
-let center ws ~t ~options ~budget =
+let center ws ~t ~options ~budget ~expired =
   let m = ws.model in
   let steps = ref 0 in
   let verdict = ref `Running in
@@ -623,7 +623,8 @@ let center ws ~t ~options ~budget =
     if gi < !best_grad then best_grad := gi;
     if gi <= grad_tol then verdict := `Converged
     else if gi <= grad_floor && !stagnation >= 4 then verdict := `Converged
-    else if !steps >= min options.max_newton budget then verdict := `Stalled_budget
+    else if !steps >= min options.max_newton budget || expired () then
+      verdict := `Stalled_budget
     else begin
       cg_solve ws ~max_iterations:options.cg_max_iterations;
       let slope = ref 0. in
@@ -792,7 +793,9 @@ let finish net gp_obj ~status ~sizes_new ~delay ~n_variables ~n_constraints
     wall_time = Sys.time () -. started;
   }
 
-let rec solve ?(options = default_options) net gp_obj =
+(* [expired ()] is the caller's deadline, probed before every Newton
+   step and every centering. *)
+let rec solve_until ~expired ~options net gp_obj =
   let started = Sys.time () in
   let f = Netlist.flat net in
   let n = Netlist.n_gates net in
@@ -860,7 +863,9 @@ let rec solve ?(options = default_options) net gp_obj =
           (match !best with
           | Some (_, tb) when tb < delay_bound -> ()
           | _ ->
-              let fast = solve ~options net (Min_delay { area_budget = None }) in
+              let fast =
+                solve_until ~expired ~options net (Min_delay { area_budget = None })
+              in
               List.iter
                 (fun mfrac ->
                   consider
@@ -893,7 +898,8 @@ let rec solve ?(options = default_options) net gp_obj =
           finish net gp_obj ~status:Optimal ~sizes_new ~delay:t0 ~n_variables:dim
             ~n_constraints:0 ~centerings:0 ~newton_iterations:0 ~duality_gap:0.
             ~kkt:trivial_kkt ~started
-      | _ -> fail_finish Infeasible (Array.copy lo_new))
+      | _ ->
+          fail_finish (if expired () then Stalled else Infeasible) (Array.copy lo_new))
   | Some sizes0 -> (
       let objective_posy, constraints = compile net gp_obj in
       let model = flatten ~dim objective_posy constraints in
@@ -912,16 +918,16 @@ let rec solve ?(options = default_options) net gp_obj =
         let running = ref true in
         while !running do
           let budget = options.max_total_newton - !total_newton in
-          if budget <= 0 then begin
+          if budget <= 0 || expired () then begin
             status := Stalled;
             running := false
           end
           else begin
-            let v, steps = center ws ~t:!t ~options ~budget in
+            let v, steps = center ws ~t:!t ~options ~budget ~expired in
             incr centerings;
             total_newton := !total_newton + steps;
             (match v with
-            | `Stalled when 1. /. !t > options.complementarity_target ->
+            | `Stalled when 1. /. !t > options.complementarity_target || expired () ->
                 status := Stalled;
                 running := false
             | _ -> ());
@@ -950,3 +956,13 @@ let rec solve ?(options = default_options) net gp_obj =
           ~duality_gap:(float_of_int model.n_cons /. !t)
           ~kkt ~started
       end)
+
+let solve ?(options = default_options) ?deadline net gp_obj =
+  let expired =
+    match deadline with
+    | None -> fun () -> false
+    | Some deadline ->
+        let budget = Util.Guard.budget ~deadline () in
+        fun () -> Util.Guard.exhausted budget <> None
+  in
+  solve_until ~expired ~options net gp_obj

@@ -16,8 +16,9 @@
     ([Engine.options.warm_start]), and as the [Gp_fallback] rung of the
     recovery ladder.
 
-    Everything is deterministic: no randomness, no wall-clock-dependent
-    control flow — two solves of the same problem are bit-identical. *)
+    Everything is deterministic: no randomness and, unless a deadline is
+    given, no wall-clock-dependent control flow — two solves of the same
+    problem are bit-identical. *)
 
 (** {1 Posynomial AST}
 
@@ -99,10 +100,15 @@ type solution = {
   wall_time : float;
 }
 
-val solve : ?options:options -> Circuit.Netlist.t -> objective -> solution
+val solve :
+  ?options:options -> ?deadline:float -> Circuit.Netlist.t -> objective -> solution
 (** Compiles the mean-delay/area GP from the netlist's flat view and
-    solves it.  Never raises on infeasibility — a bound no sizing can
-    meet returns [status = Infeasible] with best-effort sizes.  The
+    solves it.  [deadline] (seconds from the call, on the monotonic
+    clock) is checked before every Newton step: a solve that reaches it
+    stops there and returns [Stalled] with its current point, so it
+    overruns by at most one Newton step.  Never raises on
+    infeasibility — a bound no sizing can meet returns
+    [status = Infeasible] with best-effort sizes.  The
     interior-point iterates stay strictly inside the box; at extraction
     any size within a relative [1e-6] of a bound is snapped onto it (the
     rounding step of classic GP sizing), so the returned [sizes] are

@@ -83,7 +83,7 @@ val create :
   t
 (** A fresh engine with an empty cache; the first {!analyze} is a full
     sweep.  [mode] defaults to {!Exact}.  Primary-input arrivals are the
-    default deterministic zero ({!Ssta.Kernel.default_pi_arrival}).
+    default deterministic zero, as in {!Ssta.analyze}.
 
     With a shared-source [varmodel] the engine degenerates to cached
     full sweeps: a shared parameter couples every arrival through its

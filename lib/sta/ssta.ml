@@ -338,18 +338,6 @@ let reverse_raw ?pool ~model a ~d_mu ~d_var =
   Util.Instr.time t_reverse @@ fun () ->
   Arena.reverse ?pool ~model a ~d_mu ~d_var
 
-(* The exact floating-point kernels of both sweeps, re-exported so the
-   incremental engine (Incr) replays bit-identical operations instead of
-   maintaining a drifting copy. *)
-module Kernel = struct
-  let default_pi_arrival = default_pi_arrival
-  let node_arrival = node_arrival
-  let fold_max = fold_max
-  let fold_max_last = fold_max_last
-  let backprop_fold = backprop_fold
-  let level_grain = level_grain
-end
-
 let mu_plus_k_sigma_seed k res =
   let var = Normal.var res.circuit in
   let d_var = if k = 0. || var <= 0. then 0. else k /. (2. *. sqrt var) in

@@ -184,40 +184,6 @@ end
 
 (** {1 Common functionals} *)
 
-(** {1 Kernel}
-
-    The floating-point kernels both sweeps are built from, re-exported
-    for {!Incr} (which must replay {e bit-identical} operations on the
-    dirty cone) and for the differential tests.  Not a stable public
-    API. *)
-
-module Kernel : sig
-  val default_pi_arrival : int -> Normal.t
-  (** [Normal.deterministic 0.] at every input. *)
-
-  val node_arrival :
-    pi_arrival:(int -> Normal.t) ->
-    Normal.t array ->
-    Circuit.Netlist.node ->
-    Normal.t
-  (** Arrival of a fanin node: [pi_arrival i] for [Pi i], slot [g] of the
-      arrival array for [Gate g]. *)
-
-  val fold_max : Normal.t array -> Normal.t array
-  (** Prefix maxima of the left fold of {!Statdelay.Clark.max2};
-      [.(k-1)] is the fold value. *)
-
-  val fold_max_last : Normal.t array -> Normal.t
-  (** The final fold value only (same operations, same result bits). *)
-
-  val backprop_fold : Normal.t array -> Normal.t array -> seed -> seed array
-  (** Adjoint of a recorded fold: per-operand adjoints given the adjoint
-      of the final prefix. *)
-
-  val level_grain : int
-  (** Minimum per-domain indices before a level is handed to the pool. *)
-end
-
 val mu_plus_k_sigma_seed : float -> result -> seed
 (** Seed for {m f = \mu + k\sigma}:
     {m \partial f/\partial\mu = 1}, {m \partial f/\partial\sigma^2 = k / (2\sigma)}.

@@ -62,17 +62,16 @@ let wide_dag ?(n_gates = 300) seed =
       seed;
     }
 
+let cla4_path () =
+  match
+    List.find_opt Sys.file_exists [ "../examples/cla4.bench"; "examples/cla4.bench" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "examples/cla4.bench not found (is it a test dep?)"
+
 let bench_net =
   lazy
-    (let path =
-       match
-         List.find_opt Sys.file_exists
-           [ "../examples/cla4.bench"; "examples/cla4.bench" ]
-       with
-       | Some p -> p
-       | None -> Alcotest.fail "examples/cla4.bench not found (is it a test dep?)"
-     in
-     match Bench_format.parse_file ~library:(Cell.Library.default ()) path with
+    (match Bench_format.parse_file ~library:(Cell.Library.default ()) (cla4_path ()) with
      | Ok net -> net
      | Error e ->
          Alcotest.failf "cla4.bench: %s" (Format.asprintf "%a" Bench_format.pp_error e))
@@ -210,135 +209,56 @@ let prop_random_dag_differential =
         net;
       true)
 
-(* ---- streaming loader equivalence ------------------------------------------- *)
+(* ---- streaming loader vs the worklist oracle -------------------------------- *)
 
-(* Bench_stream must produce a netlist indistinguishable from
-   Bench_format's record-graph path: same ids, names and CSR columns,
-   and bit-identical sweep results.  Exercised on the bundled circuit
-   plus a synthetic file covering the decomposition paths (wide
-   AND/NAND/XOR, BUFF/NOT, DFF cut, comments, blank lines). *)
-
-let synthetic_bench =
-  {|# synthetic decomposition exercise
-INPUT(a)
-INPUT(b)
-INPUT(c)
-INPUT(d)
-INPUT(e)
-
-s = DFF(w)
-w = NAND(a, b, c, d, e)
-x = AND(a, b, c, d)
-y = XOR(x, s, c)
-z = NOR(y, w, d)
-o = NOT(z)
-p = BUFF(o)
-OUTPUT(p)
-OUTPUT(y)
-|}
-
-let check_netlists_equal msg a b =
-  let fa = Netlist.flat a and fb = Netlist.flat b in
-  Alcotest.(check int) (msg ^ ": n_gates") (Netlist.n_gates a) (Netlist.n_gates b);
-  Alcotest.(check int) (msg ^ ": n_pis") (Netlist.n_pis a) (Netlist.n_pis b);
-  Alcotest.(check int) (msg ^ ": n_pos") (Netlist.n_pos a) (Netlist.n_pos b);
-  for id = 0 to Netlist.n_gates a - 1 do
-    let ga = Netlist.gate a id and gb = Netlist.gate b id in
-    Alcotest.(check string)
-      (Printf.sprintf "%s: gate %d name" msg id)
-      ga.Netlist.gate_name gb.Netlist.gate_name;
-    Alcotest.(check string)
-      (Printf.sprintf "%s: gate %d cell" msg id)
-      ga.Netlist.cell.Cell.name gb.Netlist.cell.Cell.name;
-    Alcotest.(check (array (of_pp Fmt.(of_to_string (function
-        | Netlist.Pi i -> "pi" ^ string_of_int i
-        | Netlist.Gate g -> "g" ^ string_of_int g)))))
-      (Printf.sprintf "%s: gate %d fanin" msg id)
-      ga.Netlist.fanin gb.Netlist.fanin
-  done;
-  Alcotest.(check (array int)) (msg ^ ": perm") fa.Netlist.perm fb.Netlist.perm;
-  Alcotest.(check (array int)) (msg ^ ": lvl_off") fa.Netlist.lvl_off fb.Netlist.lvl_off;
-  Alcotest.(check (array int)) (msg ^ ": fi_off") fa.Netlist.fi_off fb.Netlist.fi_off;
-  Alcotest.(check (array int)) (msg ^ ": fi_node") fa.Netlist.fi_node fb.Netlist.fi_node;
-  Alcotest.(check (array int)) (msg ^ ": fo_off") fa.Netlist.fo_off fb.Netlist.fo_off;
-  Alcotest.(check (array int))
-    (msg ^ ": fo_consumer") fa.Netlist.fo_consumer fb.Netlist.fo_consumer;
-  check_floats_identical (msg ^ ": fo_mult") fa.Netlist.fo_mult fb.Netlist.fo_mult;
-  check_floats_identical (msg ^ ": fo_cin") fa.Netlist.fo_cin fb.Netlist.fo_cin;
-  Alcotest.(check (array int)) (msg ^ ": po_node") fa.Netlist.po_node fb.Netlist.po_node;
-  (* And the sweeps agree bit for bit. *)
-  let sweep net =
-    let arena = Sta.Arena.create net in
-    Sta.Ssta.forward_raw ~model arena ~sizes:(Netlist.min_sizes net);
-    (Sta.Arena.circuit_mu arena, Sta.Arena.circuit_var arena)
-  in
-  let mu_a, var_a = sweep a and mu_b, var_b = sweep b in
-  if not (Int64.equal (bits mu_a) (bits mu_b) && Int64.equal (bits var_a) (bits var_b))
-  then Alcotest.failf "%s: circuit moments differ: (%h,%h) <> (%h,%h)" msg mu_a var_a mu_b var_b
-
-let test_stream_loader_identical () =
+(* The loader that feeds the arenas (through Bench_stream, the name the
+   benchmark loads with) against Bench_oracle, the worklist elaborator
+   it replaced.  With gate ids equal, the two netlists must sweep to
+   Int64-bit-identical values and gradients at the same size vectors,
+   each on an arena of its own, at 1, 2 and 4 domains. *)
+let test_loader_sweeps_match_oracle () =
   let library = Cell.Library.default () in
-  (match
-     ( Bench_format.parse_string ~library synthetic_bench,
-       Bench_stream.parse_string ~library synthetic_bench )
-   with
-  | Ok a, Ok b -> check_netlists_equal "synthetic" a b
-  | Error e, _ | _, Error e ->
-      Alcotest.failf "synthetic: %s" (Format.asprintf "%a" Bench_format.pp_error e));
-  let path =
-    match
-      List.find_opt Sys.file_exists
-        [ "../examples/cla4.bench"; "examples/cla4.bench" ]
-    with
-    | Some p -> p
-    | None -> Alcotest.fail "examples/cla4.bench not found (is it a test dep?)"
-  in
-  match
-    ( Bench_format.parse_file ~library path,
-      Bench_stream.parse_file ~library path )
-  with
-  | Ok a, Ok b -> check_netlists_equal "cla4.bench" a b
-  | Error e, _ | _, Error e ->
-      Alcotest.failf "cla4.bench: %s" (Format.asprintf "%a" Bench_format.pp_error e)
-
-let test_stream_loader_errors () =
-  let library = Cell.Library.default () in
-  let expect_error msg text =
+  let text = In_channel.with_open_bin (cla4_path ()) In_channel.input_all in
+  let loaded =
     match Bench_stream.parse_string ~library text with
-    | Ok _ -> Alcotest.failf "%s: expected an error" msg
+    | Ok net -> net
     | Error e ->
-        let reference =
-          match Bench_format.parse_string ~library text with
-          | Ok _ -> Alcotest.failf "%s: record loader accepted it" msg
-          | Error r -> r
-        in
-        Alcotest.(check string) (msg ^ ": message") reference.Bench_format.message
-          e.Bench_format.message
+        Alcotest.failf "loader: %s" (Format.asprintf "%a" Bench_format.pp_error e)
   in
-  expect_error "cycle" "INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\nOUTPUT(y)\n";
-  expect_error "twice" "INPUT(a)\nx = NOT(a)\nx = BUFF(a)\nOUTPUT(x)\n";
-  expect_error "undriven out" "INPUT(a)\nx = NOT(a)\nOUTPUT(zz)\n";
-  expect_error "syntax" "INPUT(a)\nx = \nOUTPUT(x)\n"
+  let oracle =
+    match Bench_oracle.parse_string ~library text with
+    | Ok net -> net
+    | Error m -> Alcotest.failf "oracle: %s" m
+  in
+  let n = Netlist.n_gates oracle in
+  Alcotest.(check int) "n_gates" n (Netlist.n_gates loaded);
+  let maxs = Netlist.max_sizes oracle in
+  List.iter
+    (fun (jobs, pool) ->
+      let rng = Util.Rng.create (17 * jobs) in
+      let arena_o = Sta.Arena.create oracle and arena_l = Sta.Arena.create loaded in
+      let sizes = Array.copy (Netlist.min_sizes oracle) in
+      for step = 1 to 6 do
+        for _ = 1 to 1 + Util.Rng.int rng (max 1 (n / 10)) do
+          let i = Util.Rng.int rng n in
+          sizes.(i) <- Util.Rng.uniform rng ~lo:1.0 ~hi:maxs.(i)
+        done;
+        let seed_name, seedf = seed_for step in
+        let msg = Printf.sprintf "cla4.bench jobs=%d step %d (%s)" jobs step seed_name in
+        let res_o, grad_o =
+          Sta.Ssta.value_and_gradient ?pool ~arena:arena_o ~model oracle ~sizes
+            ~seed:seedf
+        in
+        let res_l, grad_l =
+          Sta.Ssta.value_and_gradient ?pool ~arena:arena_l ~model loaded ~sizes
+            ~seed:seedf
+        in
+        check_results_identical msg res_o res_l;
+        check_floats_identical (msg ^ ": grad") grad_o grad_l
+      done)
+    pools
 
 (* ---- zero-allocation regression --------------------------------------------- *)
-
-(* Same canary as bench/main.ml: computed float arguments to an
-   in-place kernel allocate at every call unless the call was inlined
-   (dev profile compiles with -opaque, which suppresses cross-library
-   inlining; release inlines and the sweeps run allocation-free). *)
-let kernels_inlined () =
-  let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
-  Bigarray.Array1.fill out 0.;
-  let x = Sys.opaque_identity 0.5 in
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Statdelay.Clark.add_into ~mu_a:(x +. 0.5) ~var_a:(x *. 0.2) ~mu_b:(x +. 1.5)
-      ~var_b:(x *. 0.4) out 0
-  done;
-  ignore
-    (Sys.opaque_identity (Statdelay.Clark.vget out 0 +. Statdelay.Clark.vget out 1));
-  Gc.minor_words () -. w0 < 64.
 
 let words_per_eval ~reps f =
   f ();
@@ -359,7 +279,9 @@ let test_steady_state_allocation () =
      closes over the section).  Loose per-gate ceiling otherwise (boxed
      kernel arguments only — still far below the boxed sweeps' hundreds
      of words per gate). *)
-  let ceiling = if kernels_inlined () then 256. else 128. *. float_of_int n in
+  let ceiling =
+    if Release_profile.kernels_inlined () then 256. else 128. *. float_of_int n
+  in
   let w_fwd =
     words_per_eval ~reps:10 (fun () -> Sta.Ssta.forward_raw ~model arena ~sizes)
   in
@@ -383,7 +305,7 @@ let test_steady_state_allocation () =
    and the sweep speed makes it cheap); the dev profile skips it, via
    the same inlining canary the allocation test keys on. *)
 let test_large_dag_smoke () =
-  if not (kernels_inlined ()) then
+  if not (Release_profile.kernels_inlined ()) then
     Alcotest.skip ()
   else begin
     let net =
@@ -429,10 +351,8 @@ let () =
         ] );
       ( "streaming loader",
         [
-          Alcotest.test_case "CSR path identical to record path" `Quick
-            test_stream_loader_identical;
-          Alcotest.test_case "errors match the record loader" `Quick
-            test_stream_loader_errors;
+          Alcotest.test_case "gradients match the oracle" `Quick
+            test_loader_sweeps_match_oracle;
         ] );
       ( "allocation",
         [

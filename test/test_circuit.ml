@@ -579,6 +579,50 @@ let test_bench_errors () =
   (* cycle *)
   expect "INPUT(a)\nOUTPUT(y)\ny = NAND(a, z)\nz = NOT(y)\n"
 
+(* Every elaboration failure names the statement at fault. *)
+let test_bench_positioned_errors () =
+  let lib = Cell.Library.default () in
+  let expect ?(library = lib) what text line needle =
+    match Bench_format.parse_string ~library text with
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+    | Error e ->
+        Alcotest.(check int) (what ^ ": line") line e.Bench_format.line;
+        let m = e.Bench_format.message in
+        let found = ref false in
+        for i = 0 to String.length m - String.length needle do
+          if String.sub m i (String.length needle) = needle then found := true
+        done;
+        if not !found then Alcotest.failf "%s: %S does not mention %S" what m needle
+  in
+  expect "driven twice" "INPUT(a)\nOUTPUT(x)\nx = NOT(a)\nx = BUFF(a)\n" 4
+    "driven twice: x";
+  expect "assignment onto an input" "INPUT(a)\nOUTPUT(a)\na = NOT(a)\n" 3
+    "driven twice: a";
+  expect "undriven net" "INPUT(a)\nOUTPUT(y)\nw = NOT(a)\ny = NOT(zz)\nv = NOT(zz)\n" 4
+    "undriven net zz";
+  expect "cycle" "INPUT(a)\nOUTPUT(y)\nb = NOT(a)\ny = NAND(a, z)\nz = NOT(y)\n" 4
+    "cycle";
+  (* w waits on the cycle without lying on it. *)
+  expect "cycle behind a reader"
+    "INPUT(a)\nOUTPUT(w)\nw = NOT(y)\nz = NOT(y)\ny = NAND(a, z)\n" 4 "cycle";
+  expect "self loop" "INPUT(a)\nOUTPUT(x)\n\nx = AND(a, x)\n" 4 "cycle through net x";
+  expect "output not driven" "INPUT(a)\nx = NOT(a)\nOUTPUT(x)\nOUTPUT(zz)\n" 4
+    "output zz is not driven";
+  expect "flip-flop data not driven" "INPUT(a)\nOUTPUT(a)\nq = DFF(zz)\n" 3
+    "output zz is not driven";
+  expect "DFF arity" "INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = DFF(a, b)\n" 4
+    "DFF takes one input";
+  expect "duplicate INPUT" "INPUT(a)\nOUTPUT(a)\n# again\nINPUT(a)\n" 4
+    "duplicate INPUT a";
+  expect "pseudo-input clash" "INPUT(q_ff)\nOUTPUT(q)\nq = DFF(q_ff)\n" 3 "clashes";
+  expect "unsupported operator" "INPUT(a)\nOUTPUT(y)\n\ny = FROB(a)\n" 4
+    "unsupported operator FROB";
+  expect "no output" "INPUT(a)\nx = NOT(a)\n# done\n\n" 2 "no primary output";
+  expect
+    ~library:(Cell.Library.of_list [ Cell.make ~name:"inv" ~n_inputs:1 () ])
+    "missing cell" "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nx = NOT(a)\n\ny = XOR(x, b)\n" 6
+    "library has no cell xor2"
+
 (* ---- cell library files -------------------------------------------------------------- *)
 
 let test_cell_file_parse () =
@@ -647,18 +691,29 @@ let test_cell_file_parse_file_robust () =
   | Error _ -> ()
   | exception e -> Alcotest.failf "directory escaped with %s" (Printexc.to_string e)
 
+(* Through both of the loader's names ([Bench_stream] is an alias):
+   file-level failures come back as [Error], never as an escaping
+   [Sys_error]. *)
 let test_bench_parse_file_robust () =
   let lib = Cell.Library.default () in
-  (match Bench_format.parse_file ~library:lib "no/such/circuit.bench" with
-  | Ok _ -> Alcotest.fail "expected an error for a missing file"
-  | Error e ->
-      Alcotest.(check bool) "has a message" true
-        (Format.asprintf "%a" Bench_format.pp_error e <> "")
-  | exception e -> Alcotest.failf "missing file escaped with %s" (Printexc.to_string e));
-  match Bench_format.parse_file ~library:lib "." with
-  | Ok _ -> Alcotest.fail "expected an error for a directory"
-  | Error _ -> ()
-  | exception e -> Alcotest.failf "directory escaped with %s" (Printexc.to_string e)
+  List.iter
+    (fun (loader, parse_file) ->
+      (match parse_file ~library:lib "no/such/circuit.bench" with
+      | Ok _ -> Alcotest.failf "%s: expected an error for a missing file" loader
+      | Error e ->
+          Alcotest.(check bool) (loader ^ ": has a message") true
+            (Format.asprintf "%a" Bench_format.pp_error e <> "")
+      | exception e ->
+          Alcotest.failf "%s: missing file escaped with %s" loader (Printexc.to_string e));
+      match parse_file ~library:lib "." with
+      | Ok _ -> Alcotest.failf "%s: expected an error for a directory" loader
+      | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: directory escaped with %s" loader (Printexc.to_string e))
+    [
+      ("Bench_format", fun ~library p -> Bench_format.parse_file ~library p);
+      ("Bench_stream", fun ~library p -> Bench_stream.parse_file ~library p);
+    ]
 
 let test_bench_truncated_prefixes () =
   (* Every prefix of a valid .bench text parses to Ok or a clean Error,
@@ -672,7 +727,10 @@ let test_bench_truncated_prefixes () =
   for len = 0 to String.length whole - 1 do
     match Bench_format.parse_string ~library:lib (String.sub whole 0 len) with
     | Ok _ -> ()
-    | Error _ -> saw_error := true
+    | Error e ->
+        if e.Bench_format.line < 1 then
+          Alcotest.failf "prefix %d: error without a line: %s" len e.Bench_format.message;
+        saw_error := true
     | exception e ->
         Alcotest.failf "prefix %d escaped with %s" len (Printexc.to_string e)
   done;
@@ -756,6 +814,7 @@ let () =
             test_bench_wide_gate_decomposition;
           Alcotest.test_case "dff cut" `Quick test_bench_dff_cut;
           Alcotest.test_case "errors" `Quick test_bench_errors;
+          Alcotest.test_case "positioned errors" `Quick test_bench_positioned_errors;
           Alcotest.test_case "parse_file robustness" `Quick test_bench_parse_file_robust;
           Alcotest.test_case "truncated prefixes" `Quick test_bench_truncated_prefixes;
         ] );

@@ -281,6 +281,39 @@ let test_generous_deadline_unchanged () =
   Alcotest.(check bool) "sizes bit-identical" true
     (free.Engine.sizes = budgeted.Engine.sizes)
 
+let test_deadline_bounds_gp_rung () =
+  (* A persistent fault breaks every solver rung at once, so the ladder
+     reaches the GP rung with nearly all of a short deadline left.  The
+     unbudgeted GP takes seconds on this DAG; budgeted, it stops at the
+     deadline, and the baseline rung is not started after it.  The
+     slack covers the final report's evaluation and one Newton step
+     (milliseconds here), nowhere near the GP's seconds. *)
+  let net =
+    Circuit.Generate.random_dag
+      {
+        Circuit.Generate.default_spec with
+        Circuit.Generate.n_gates = 300;
+        n_pis = 40;
+        target_depth = 20;
+        seed = 7;
+      }
+  in
+  let deadline = 0.25 and slack = 0.5 in
+  let plan = Util.Fault.plan [ objective_site Util.Fault.Nan_value Util.Fault.Always ] in
+  let t0 = Util.Instr.now_ns () in
+  let s =
+    solve_faulted
+      ~options:{ Engine.default_options with Engine.deadline = Some deadline }
+      plan net (Objective.Min_delay 0.)
+  in
+  let wall = float_of_int (Util.Instr.now_ns () - t0) /. 1e9 in
+  if wall > deadline +. slack then
+    Alcotest.failf "solve took %.2f s against a %.2f s deadline" wall deadline;
+  Alcotest.(check bool) "not converged" false s.Engine.converged;
+  Alcotest.(check bool) "no fallback adopted" true
+    (not (List.exists (fun r -> r = Engine.Gp_fallback || r = Engine.Baseline_fallback) (rungs s)));
+  Alcotest.(check bool) "sizes finite" true (Util.Guard.all_finite s.Engine.sizes)
+
 (* ---- determinism ------------------------------------------------------------- *)
 
 let test_faulted_solve_deterministic () =
@@ -348,6 +381,8 @@ let () =
           Alcotest.test_case "immediate deadline" `Quick test_deadline_returns_best_effort;
           Alcotest.test_case "generous deadline unchanged" `Quick
             test_generous_deadline_unchanged;
+          Alcotest.test_case "deadline bounds the gp rung" `Quick
+            test_deadline_bounds_gp_rung;
         ] );
       ( "determinism",
         [ Alcotest.test_case "faulted solve" `Quick test_faulted_solve_deterministic ] );

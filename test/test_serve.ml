@@ -771,21 +771,8 @@ let test_server_quarantine () =
 
 (* ---- Soak (release-gated) ------------------------------------------------------ *)
 
-(* Same inlining canary as test_arena / the sim invariants: the soak is
-   a release-profile drill (CI runs it there); dev builds skip it. *)
-let kernels_inlined () =
-  let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
-  Bigarray.Array1.fill out 0.;
-  let x = Sys.opaque_identity 0.5 in
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Statdelay.Clark.add_into ~mu_a:(x +. 0.5) ~var_a:(x *. 0.2) ~mu_b:(x +. 1.5)
-      ~var_b:(x *. 0.4) out 0
-  done;
-  ignore
-    (Sys.opaque_identity (Statdelay.Clark.vget out 0 +. Statdelay.Clark.vget out 1));
-  Gc.minor_words () -. w0 < 64.
+(* The soak is a release-profile drill (CI runs it there); dev builds
+   skip it, keyed on the same inlining canary as test_arena. *)
 
 let soak_circuits = [| "tree"; "fig2"; "chain" |]
 
@@ -798,7 +785,7 @@ let soak_sizes net ~seed ~key =
       Util.Rng.uniform rng ~lo:1.0 ~hi:maxs.(g))
 
 let test_soak_multi_client () =
-  if not (kernels_inlined ()) then Alcotest.skip ()
+  if not (Release_profile.kernels_inlined ()) then Alcotest.skip ()
   else begin
     let n_clients = 4 and per_client = 40 in
     let plan =
