@@ -4,7 +4,7 @@
      analyze  - statistical timing report of a circuit at given sizes
      size     - solve a sizing problem and report the result
      mc       - batched Monte Carlo sampling of the circuit delay distribution
-     tables   - regenerate the paper's tables (same harness as bench/) *)
+     tables   - regenerate the paper's tables and figures *)
 
 open Cmdliner
 
@@ -700,7 +700,13 @@ let tables_cmd =
         | "extensions" ->
             Experiments.Nary_exp.(print (run ()));
             Experiments.Correlation_exp.(print (run ~model ()));
-            Experiments.Power_exp.(print (run ~model ()))
+            Experiments.Power_exp.(print (run ~model ()));
+            Experiments.Robust_exp.(print (run ()));
+            (* The full area-delay curve whose endpoints are Table 1's
+               first two rows. *)
+            Sizing.Sweep.print
+              (Sizing.Sweep.area_delay ~model ~k:3. ~points:6
+                 (Circuit.Generate.apex2_like ()))
         | other -> Printf.eprintf "statsize tables: skipping unknown table %S\n" other)
       selected
   in

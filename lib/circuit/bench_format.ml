@@ -87,21 +87,25 @@ let trimmed text lo hi =
   while !hi > !lo && is_space text.[!hi - 1] do decr hi done;
   String.sub text !lo (!hi - !lo)
 
-(* The first [c] in [lo, hi), or [hi]; the last, or [lo - 1].  The
-   scans never leave the range. *)
+(* The first [c] in [lo, hi), or [hi]; whether [lo, hi) is all blanks.
+   The scans never leave the range. *)
 let rec index_in text c lo hi =
   if lo >= hi || text.[lo] = c then lo else index_in text c (lo + 1) hi
 
-let rec rindex_in text c lo hi =
-  if hi <= lo || text.[hi - 1] = c then hi - 1 else rindex_in text c lo (hi - 1)
+let rec blank text lo hi = lo >= hi || (is_space text.[lo] && blank text (lo + 1) hi)
 
 (* "NAME(arg, arg, ...)" in [lo, hi): the name and the non-empty
-   trimmed arguments.  Text after the last ')' is ignored. *)
+   trimmed arguments.  The call must close at its first ')', with no
+   '(' inside it and nothing but blanks after it. *)
 let call ~line text lo hi =
   let op_ = index_in text '(' lo hi in
   if op_ = hi then fail line "expected a call, got %S" (trimmed text lo hi);
-  let cp = rindex_in text ')' lo hi in
-  if cp <= op_ then fail line "unbalanced parentheses in %S" (trimmed text lo hi);
+  let cp = index_in text ')' op_ hi in
+  if cp = hi || index_in text '(' (op_ + 1) cp < cp then
+    fail line "unbalanced parentheses in %S" (trimmed text lo hi);
+  if not (blank text (cp + 1) hi) then
+    fail line "unexpected text %S after %S" (trimmed text (cp + 1) hi)
+      (trimmed text lo (cp + 1));
   let rec args acc start =
     let stop = index_in text ',' start cp in
     let a = trimmed text start stop in
@@ -185,11 +189,7 @@ let read text =
     if lo <= len then begin
       let eol = index_in text '\n' lo len in
       let stop = index_in text '#' lo eol in
-      let blank = ref true in
-      for i = lo to stop - 1 do
-        if not (is_space (String.unsafe_get text i)) then blank := false
-      done;
-      if not !blank then begin
+      if not (blank text lo stop) then begin
         statement r ~line text lo stop;
         r.last_line <- line
       end;

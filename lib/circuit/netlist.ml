@@ -172,20 +172,6 @@ let area t ~sizes =
 
 let min_sizes t = Array.make (n_gates t) 1.
 
-let max_sizes t = Array.map (fun g -> g.cell.Cell.max_size) (Lazy.force t.gates_l)
-
-let check_sizes t sizes =
-  if Array.length sizes <> n_gates t then
-    invalid_arg "Netlist.check_sizes: dimension mismatch";
-  Array.iter
-    (fun g ->
-      let s = sizes.(g.id) in
-      if s < 1. -. 1e-9 || s > g.cell.Cell.max_size +. 1e-9 then
-        invalid_arg
-          (Printf.sprintf "Netlist.check_sizes: size %g of gate %s outside [1, %g]" s
-             g.gate_name g.cell.Cell.max_size))
-    (Lazy.force t.gates_l)
-
 let levels t =
   let lvl = Array.make (n_gates t) 0 in
   Array.iter
@@ -390,6 +376,35 @@ let flat t =
       let f = compute_flat t in
       t.flat_cache <- Some f;
       f
+
+(* Size bounds straight from the flat columns, so a CSR-loaded netlist
+   never materialises its record view to be validated.  Gates are
+   checked in old-id order (the first offender reported is the lowest
+   id); the message, and with it the record view for the gate's name,
+   is built only in the failing branch. *)
+let max_sizes t =
+  let fl = flat t in
+  let m = Array.create_float t.n_g in
+  for id = 0 to t.n_g - 1 do
+    Array.unsafe_set m id (Array.unsafe_get fl.g_max_size (Array.unsafe_get fl.perm id))
+  done;
+  m
+
+let bad_size t fl id s =
+  invalid_arg
+    (Printf.sprintf "Netlist.check_sizes: size %g of gate %s outside [1, %g]" s
+       (gate t id).gate_name fl.g_max_size.(fl.perm.(id)))
+
+let check_sizes t (sizes : float array) =
+  if Array.length sizes <> n_gates t then
+    invalid_arg "Netlist.check_sizes: dimension mismatch";
+  let fl = flat t in
+  let gmax = fl.g_max_size and perm = fl.perm in
+  for id = 0 to t.n_g - 1 do
+    let s = Array.unsafe_get sizes id in
+    if s < 1. -. 1e-9 || s > Array.unsafe_get gmax (Array.unsafe_get perm id) +. 1e-9
+    then bad_size t fl id s
+  done
 
 (* ---- streaming CSR construction ---------------------------------------------
 

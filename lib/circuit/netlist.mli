@@ -76,10 +76,13 @@ val min_sizes : t -> float array
 (** All-ones vector (every speed factor at its lower bound). *)
 
 val max_sizes : t -> float array
-(** Per-gate [cell.max_size] vector. *)
+(** Per-gate [cell.max_size] vector, read from the {!flat} columns (a
+    CSR-built netlist keeps its record view unbuilt). *)
 
 val check_sizes : t -> float array -> unit
-(** Validates dimension and bounds; raises [Invalid_argument]. *)
+(** Validates dimension and bounds; raises [Invalid_argument] naming
+    the lowest-id offending gate.  Reads the {!flat} columns and
+    allocates nothing on success. *)
 
 (** {1 Structure} *)
 

@@ -3,8 +3,8 @@
     The first two rows of each Table-1 block are the endpoints of the
     circuit's area–delay trade-off; this module fills in the curve by
     solving [min area s.t. mu + k sigma <= D] over a grid of budgets.
-    Used by the EXT-PARETO bench section and handy as a library utility
-    for exploring a design's feasible region. *)
+    Printed by [statsize tables extensions] (EXT-PARETO) and handy as a
+    library utility for exploring a design's feasible region. *)
 
 type point = {
   bound : float;  (** the delay budget D *)

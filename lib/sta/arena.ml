@@ -221,7 +221,7 @@ let clear_pi_arrival t = Bigarray.Array1.fill t.pi 0.
 
 (* ---- instrumentation and level scheduling ----------------------------------- *)
 
-(* Shared with Ssta's boxed sweeps so bench sections aggregate. *)
+(* Shared with Ssta's boxed sweeps so one profile aggregates both. *)
 let c_par_levels = Util.Instr.counter "ssta.parallel_levels"
 let c_ser_levels = Util.Instr.counter "ssta.serial_levels"
 let level_grain = 16
@@ -231,28 +231,6 @@ let level_grain = 16
    per gate block) cycles through the closest cache levels instead of
    round-tripping a whole level's worth of scratch through L2. *)
 let stage_block = 4096
-
-(* ---- size validation -------------------------------------------------------- *)
-
-(* Same checks, same exceptions, same messages as Netlist.check_sizes —
-   iterating old gate ids so the first offender reported matches — with
-   the message built only in the cold failure branch. *)
-let bad_size t id s =
-  invalid_arg
-    (Printf.sprintf "Netlist.check_sizes: size %g of gate %s outside [1, %g]" s
-       (Netlist.gate t.net id).Netlist.gate_name
-       t.flat.Netlist.g_max_size.(t.flat.Netlist.perm.(id)))
-
-let check_sizes t (sizes : float array) =
-  if Array.length sizes <> t.n then
-    invalid_arg "Netlist.check_sizes: dimension mismatch";
-  let gmax = t.flat.Netlist.g_max_size in
-  let perm = t.flat.Netlist.perm in
-  for id = 0 to t.n - 1 do
-    let s = sizes.(id) in
-    if s < 1. -. 1e-9 || s > Array.unsafe_get gmax (Array.unsafe_get perm id) +. 1e-9
-    then bad_size t id s
-  done
 
 (* ---- forward sweep ---------------------------------------------------------- *)
 
@@ -374,7 +352,7 @@ let[@inline] circuit_var t =
     ((2 * (t.flat.Netlist.po_base + Array.length t.flat.Netlist.po_node - 1)) + 1)
 
 let forward_ind ?pool ~model t ~sizes =
-  check_sizes t sizes;
+  Netlist.check_sizes t.net sizes;
   let inv = t.flat.Netlist.inv_perm in
   for i = 0 to t.n - 1 do
     Clark.vset t.sizes i (Array.unsafe_get sizes (Array.unsafe_get inv i))
@@ -706,7 +684,7 @@ let fold_pos_c t =
   done
 
 let forward_c ?pool ~model t ~sizes =
-  check_sizes t sizes;
+  Netlist.check_sizes t.net sizes;
   let inv = t.flat.Netlist.inv_perm in
   for i = 0 to t.n - 1 do
     Clark.vset t.sizes i (Array.unsafe_get sizes (Array.unsafe_get inv i))

@@ -107,17 +107,12 @@ val set_pi_arrival : t -> (int -> Statdelay.Normal.t) -> unit
 val clear_pi_arrival : t -> unit
 (** Resets primary inputs to the default deterministic-zero arrival. *)
 
-val check_sizes : t -> float array -> unit
-(** {!Circuit.Netlist.check_sizes} — same checks, same exceptions, same
-    messages, same (old-id) reporting order — as a flat loop over the
-    columns (no closure, no allocation on the success path). *)
-
 val forward :
   ?pool:Util.Pool.t -> model:Circuit.Sigma_model.t -> t -> sizes:float array -> unit
 (** Levelized forward sweep: loads, gate delay moments, fanin folds,
     arrivals, primary-output fold.  [sizes] is in old gate-id order
-    (validated as {!check_sizes} plus [Cell.delay]'s size-below-1
-    guard, then gathered into the arena's new-id plane).
+    (validated as {!Circuit.Netlist.check_sizes} plus [Cell.delay]'s
+    size-below-1 guard, then gathered into the arena's new-id plane).
     Allocation-free when [pool] is absent or has size 1. *)
 
 val reverse :

@@ -409,7 +409,7 @@ let sizes_unchanged t ~sizes =
 
 (* Bring the engine's cached state to [sizes]. *)
 let analyze_state t ~sizes =
-  Arena.check_sizes t.a sizes;
+  Netlist.check_sizes t.net sizes;
   t.st.s_analyzes <- t.st.s_analyzes + 1;
   Util.Instr.incr c_analyze;
   Util.Instr.time t_forward @@ fun () ->

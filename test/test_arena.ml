@@ -298,6 +298,40 @@ let test_steady_state_allocation () =
       "steady-state forward+reverse pair allocates %.0f words/eval (ceiling %.0f)"
       w_rev (2. *. ceiling)
 
+(* ---- golden structure ------------------------------------------------------- *)
+
+(* The seed-77 generated DAGs at 2,400 and 24,000 gates, the two small
+   sizes of the committed BENCH_2026-08-*.json records: the generator
+   must still describe the same circuits, and the min-size circuit
+   moments must still carry the recorded bits (any drift means the
+   sweep's arithmetic changed).  [depth] is the records' field, the
+   number of level boundaries: levels - 1. *)
+let test_golden_structure () =
+  List.iter
+    (fun (n_gates, n_pis, target_depth, depth, levels, fanin_edges, mu, var) ->
+      let net =
+        Generate.random_dag
+          { Generate.default_spec with Generate.n_gates; n_pis; target_depth; seed = 77 }
+      in
+      let msg what = Printf.sprintf "%d gates: %s" n_gates what in
+      let fl = Netlist.flat net in
+      Alcotest.(check int) (msg "n_gates") n_gates (Netlist.n_gates net);
+      Alcotest.(check int) (msg "n_pis") n_pis (Netlist.n_pis net);
+      Alcotest.(check int) (msg "levels") levels (Array.length fl.Netlist.lvl_off - 1);
+      Alcotest.(check int) (msg "depth") depth (Netlist.depth net - 1);
+      Alcotest.(check int) (msg "fanin edges") fanin_edges fl.Netlist.fi_off.(n_gates);
+      let arena = Sta.Arena.create net in
+      Sta.Ssta.forward_raw ~model arena ~sizes:(Netlist.min_sizes net);
+      check_normal_identical (msg "circuit moments") { Statdelay.Normal.mu; var }
+        {
+          Statdelay.Normal.mu = Sta.Arena.circuit_mu arena;
+          var = Sta.Arena.circuit_var arena;
+        })
+    [
+      (2_400, 96, 12, 11, 12, 5341, 0x1.f647736d13e01p+4, 0x1.bb2e2324c4p-3);
+      (24_000, 300, 24, 23, 24, 53348, 0x1.01a4c054cb953p+6, 0x1.7fede27f3p-3);
+    ]
+
 (* ---- large-DAG smoke -------------------------------------------------------- *)
 
 (* A 10^5-gate generated DAG swept forward and reverse on one arena.
@@ -358,6 +392,11 @@ let () =
         [
           Alcotest.test_case "steady-state sweeps" `Quick
             test_steady_state_allocation;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "seed-77 DAG structure and moments" `Quick
+            test_golden_structure;
         ] );
       ( "scale",
         [

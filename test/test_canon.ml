@@ -15,7 +15,8 @@
    - the headline accuracy claim: under a strong shared-source model the
      canonical engine's circuit sigma tracks correlated Monte Carlo
      strictly better than the independent engine on reconvergent
-     circuits. *)
+     circuits;
+   - the canonical fwd+rev pair's per-gate allocation budget. *)
 
 open Circuit
 open Statdelay
@@ -433,29 +434,87 @@ let test_mc_correlated_determinism () =
 
 (* ---- sigma tracking vs correlated ground truth ------------------------------- *)
 
+(* fig2, apex1* and apex2*: canonical errors against 20,000 correlated
+   samples are about 0.001 / 0.34 / 0.20, independent errors about
+   0.08 / 6.9 / 2.8. *)
 let test_sigma_tracks_mc () =
-  let net = Generate.apex2_like () in
-  let sizes = Netlist.min_sizes net in
   let vm = Varmodel.make ~grid:2 ~global_frac:0.5 ~grid_frac:0.5 () in
-  let samples =
-    Sta.Mcsta.sample ~seed:3 ~varmodel:vm ~model net ~sizes ~n:20_000
+  List.iter
+    (fun (name, net) ->
+      let sizes = Netlist.min_sizes net in
+      let samples =
+        Sta.Mcsta.sample ~seed:3 ~varmodel:vm ~model net ~sizes ~n:20_000
+      in
+      let mc = Sta.Mcsta.summarize samples in
+      let canon =
+        (Sta.Ssta.analyze ~varmodel:vm ~model net ~sizes).Sta.Ssta.circuit
+      in
+      let ind = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
+      let err_canon = abs_float (Normal.sigma canon -. mc.Sta.Mcsta.sigma) in
+      let err_ind = abs_float (Normal.sigma ind -. mc.Sta.Mcsta.sigma) in
+      if not (err_canon < err_ind) then
+        Alcotest.failf
+          "%s: canonical sigma no better: canon %.5f ind %.5f mc %.5f (errors %.5f \
+           vs %.5f)"
+          name (Normal.sigma canon) (Normal.sigma ind) mc.Sta.Mcsta.sigma err_canon
+          err_ind;
+      (* The shared sources must also move the canonical sigma visibly
+         away from the independent prediction. *)
+      if abs_float (Normal.sigma canon -. Normal.sigma ind) < 1e-6 then
+        Alcotest.failf "%s: canonical sigma did not move under a strong varmodel"
+          name)
+    [
+      ("fig2", Generate.example_fig2 ());
+      ("apex1*", Generate.apex1_like ());
+      ("apex2*", Generate.apex2_like ());
+    ]
+
+(* ---- canonical sweep allocation ---------------------------------------------- *)
+
+(* The p = 17 canonical forward+reverse pair on a reused arena.  The
+   Canon kernels loop over the parameter count, and the non-flambda
+   inliner does not inline loop-bearing functions, so each
+   cross-library kernel call boxes its float arguments: about 2 words
+   per gate in release builds.  The ceiling is 4 words/gate, tight
+   enough that any per-gate scratch array (>= p + 2 words) fails it.
+   In the dev profile (-opaque, no inlining at all) every per-plane
+   kernel call boxes, so the ceiling scales with the planes. *)
+let test_canonical_words_per_eval () =
+  let net =
+    Generate.random_dag
+      {
+        Generate.default_spec with
+        Generate.n_gates = 2400;
+        n_pis = 96;
+        target_depth = 12;
+        seed = 77;
+      }
   in
-  let mc = Sta.Mcsta.summarize samples in
-  let canon =
-    (Sta.Ssta.analyze ~varmodel:vm ~model net ~sizes).Sta.Ssta.circuit
+  let n = Netlist.n_gates net in
+  let sizes = Netlist.min_sizes net in
+  let vm = Varmodel.make ~grid:4 ~global_frac:0.25 ~grid_frac:0.25 () in
+  let arena = Sta.Arena.create ~varmodel:vm net in
+  let p = Sta.Arena.n_params arena in
+  Alcotest.(check int) "p" 17 p;
+  let pair () =
+    Sta.Ssta.forward_raw ~model arena ~sizes;
+    Sta.Ssta.reverse_raw ~model arena ~d_mu:1. ~d_var:0.
   in
-  let ind = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
-  let err_canon = abs_float (Normal.sigma canon -. mc.Sta.Mcsta.sigma) in
-  let err_ind = abs_float (Normal.sigma ind -. mc.Sta.Mcsta.sigma) in
-  if not (err_canon < err_ind) then
-    Alcotest.failf
-      "canonical sigma no better: canon %.5f ind %.5f mc %.5f (errors %.5f vs %.5f)"
-      (Normal.sigma canon) (Normal.sigma ind) mc.Sta.Mcsta.sigma err_canon
-      err_ind;
-  (* The shared sources must also move the canonical sigma visibly away
-     from the independent prediction. *)
-  if abs_float (Normal.sigma canon -. Normal.sigma ind) < 1e-6 then
-    Alcotest.fail "canonical sigma did not move under a strong varmodel"
+  let reps = 20 in
+  pair ();
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    pair ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  let ceiling =
+    if Release_profile.kernels_inlined () then 4. *. float_of_int n
+    else 128. *. float_of_int (n * (1 + p))
+  in
+  if words > ceiling then
+    Alcotest.failf "canonical fwd+rev allocates %.0f words/eval (ceiling %.0f)" words
+      ceiling
 
 let () =
   let q = Seed_info.to_alcotest in
@@ -491,6 +550,11 @@ let () =
             test_canonical_gradient_fd;
           Alcotest.test_case "sigma tracks correlated MC" `Quick
             test_sigma_tracks_mc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "canonical fwd+rev words/eval" `Quick
+            test_canonical_words_per_eval;
         ] );
       ( "mc determinism",
         [

@@ -188,10 +188,85 @@ let test_check_sizes_bounds () =
      Netlist.check_sizes n [| 0.5; 1. |];
      Alcotest.fail "should reject size below 1"
    with Invalid_argument _ -> ());
-  try
-    Netlist.check_sizes n [| 1.; 4. |];
-    Alcotest.fail "should reject size above limit"
-  with Invalid_argument _ -> ()
+  (try
+     Netlist.check_sizes n [| 1.; 4. |];
+     Alcotest.fail "should reject size above limit"
+   with Invalid_argument _ -> ());
+  (* The first offender reported is the lowest gate id, though the flat
+     columns the check reads are in level-major order: g2 sits before g1
+     there. *)
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" in
+  let g0 = Netlist.Builder.add_gate b ~name:"g0" ~cell:inv [ a ] in
+  let g1 = Netlist.Builder.add_gate b ~name:"g1" ~cell:inv [ g0 ] in
+  let g2 = Netlist.Builder.add_gate b ~name:"g2" ~cell:inv [ a ] in
+  Netlist.Builder.mark_po b g1;
+  Netlist.Builder.mark_po b g2;
+  let n = Netlist.Builder.build b in
+  Alcotest.(check (array int)) "level-major ids" [| 0; 2; 1 |] (Netlist.flat n).Netlist.perm;
+  let big = inv.Cell.max_size +. 1. in
+  Alcotest.check_raises "first offender by id"
+    (Invalid_argument
+       (Printf.sprintf "Netlist.check_sizes: size %g of gate g1 outside [1, %g]" big
+          inv.Cell.max_size))
+    (fun () -> Netlist.check_sizes n [| 1.; big; big |]);
+  Alcotest.check_raises "below the floor"
+    (Invalid_argument
+       (Printf.sprintf "Netlist.check_sizes: size 0.5 of gate g2 outside [1, %g]"
+          inv.Cell.max_size))
+    (fun () -> Netlist.check_sizes n [| 1.; 1.; 0.5 |])
+
+(* Words allocated by [f], minor and major heap alike (large arrays go
+   straight to the major heap). *)
+let allocated_words f =
+  let m0, p0, j0 = Gc.counters () in
+  let r = f () in
+  let m1, p1, j1 = Gc.counters () in
+  (r, m1 -. m0 +. (j1 -. j0) -. (p1 -. p0))
+
+(* A layered 10^4-gate .bench text: 100 inputs, 100 levels of 100
+   two-input gates, each reading two nets of the level below. *)
+let layered_bench_text () =
+  let buf = Buffer.create (1 lsl 18) in
+  let w = 100 in
+  for i = 0 to w - 1 do
+    Printf.bprintf buf "INPUT(n0_%d)\n" i
+  done;
+  for i = 0 to w - 1 do
+    Printf.bprintf buf "OUTPUT(n%d_%d)\n" w i
+  done;
+  for l = 1 to w do
+    for i = 0 to w - 1 do
+      Printf.bprintf buf "n%d_%d = NAND(n%d_%d, n%d_%d)\n" l i (l - 1) i (l - 1)
+        ((i + l) mod w)
+    done
+  done;
+  Buffer.contents buf
+
+(* The size check and the bound vector read the flat columns a .bench
+   load already built: no record view per gate, so O(1) words beyond
+   the returned vector itself. *)
+let test_size_checks_read_flat_columns () =
+  let text = layered_bench_text () in
+  let load () =
+    match Bench_format.parse_string ~library:(Cell.Library.default ()) text with
+    | Ok n -> n
+    | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Bench_format.pp_error e)
+  in
+  let n = load () in
+  let g = Netlist.n_gates n in
+  Alcotest.(check int) "gates" 10_000 g;
+  let sizes = Netlist.min_sizes n in
+  let (), w_check = allocated_words (fun () -> Netlist.check_sizes n sizes) in
+  if w_check > 64. then
+    Alcotest.failf "check_sizes allocated %.0f words on %d gates" w_check g;
+  let n = load () in
+  let maxs, w_max = allocated_words (fun () -> Netlist.max_sizes n) in
+  if w_max > float_of_int g +. 64. then
+    Alcotest.failf "max_sizes allocated %.0f words for a %d-float vector" w_max g;
+  Alcotest.(check bool) "nand2 bounds" true
+    (Array.for_all (fun m -> m = nand2.Cell.max_size) maxs);
+  Alcotest.(check unit) "bounds accepted" () (Netlist.check_sizes n maxs)
 
 let test_levels_depth () =
   let n = small_net () in
@@ -621,7 +696,11 @@ let test_bench_positioned_errors () =
   expect
     ~library:(Cell.Library.of_list [ Cell.make ~name:"inv" ~n_inputs:1 () ])
     "missing cell" "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nx = NOT(a)\n\ny = XOR(x, b)\n" 6
-    "library has no cell xor2"
+    "library has no cell xor2";
+  expect "text after the call" "INPUT(a)\nOUTPUT(y)\ny = NOT(a) junk(\n" 3
+    "unexpected text \"junk(\"";
+  expect "extra closing paren" "INPUT(a)\nOUTPUT(y)\n\ny = NOT(a))\n" 4
+    "unexpected text \")\""
 
 (* ---- cell library files -------------------------------------------------------------- *)
 
@@ -778,6 +857,8 @@ let () =
           Alcotest.test_case "load" `Quick test_load_computation;
           Alcotest.test_case "area / size vectors" `Quick test_area_and_size_vectors;
           Alcotest.test_case "size bounds" `Quick test_check_sizes_bounds;
+          Alcotest.test_case "size checks read the flat columns" `Quick
+            test_size_checks_read_flat_columns;
           Alcotest.test_case "levels / depth" `Quick test_levels_depth;
         ] );
       ( "generate",

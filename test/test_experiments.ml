@@ -217,8 +217,8 @@ let test_scale_runs_small () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_prints_do_not_raise () =
-  (* The print functions are exercised by the bench harness; here we only
-     make sure they do not raise on real data. *)
+  (* The print functions are exercised by [statsize tables]; here we
+     only make sure they do not raise on real data. *)
   let r2 = Table2.run ~model () in
   Table2.print r2;
   let r3 = Table3.run ~model ~target_mu:(Table2.mid_target r2) () in

@@ -1,6 +1,7 @@
 (* Differential tests for the geometric-programming backend: posynomial
    log-log convexity (QCheck), GP-vs-Baseline at equal area, KKT
-   certificates, determinism, and the infeasibility exits. *)
+   certificates, the sigma = 0 cross-check against the augmented
+   Lagrangian, determinism, and the infeasibility exits. *)
 
 open Circuit
 open Sizing
@@ -165,6 +166,33 @@ let test_gp_epigraph_tight () =
         Alcotest.failf "%s: epigraph T %.9f vs timed %.9f" name sol.Gp.delay t)
     (nets_under_test ())
 
+(* At sigma = 0 the statistical min-delay problem is the mean-model GP,
+   so the two independently built solvers must land on the same
+   objective.  The GP optimum is global: the local augmented-Lagrangian
+   solve may end above it (apex2* cold is about 1.2e-2 high, a real
+   local minimum) but never below, and started at the GP point it must
+   stay there (apex2* about -6e-7). *)
+let test_sigma_zero_auglag_agrees () =
+  List.iter
+    (fun (name, net) ->
+      let solve warm_start =
+        Engine.solve
+          ~options:{ Engine.default_options with Engine.warm_start }
+          ~model:Sigma_model.Zero net (Objective.Min_delay 0.)
+      in
+      let cold = solve `None and warm = solve `Gp in
+      let g = Gp.solve net (Gp.Min_delay { area_budget = None }) in
+      let gap (s : Engine.solution) =
+        (s.Engine.mu -. g.Gp.mean_delay) /. g.Gp.mean_delay
+      in
+      if gap cold < -1e-4 then
+        Alcotest.failf "%s: cold auglag beat the global GP optimum by %.2e" name
+          (gap cold);
+      if Float.abs (gap warm) > 1e-3 then
+        Alcotest.failf "%s: GP-warm auglag drifted %.2e off the GP optimum" name
+          (gap warm))
+    (nets_under_test ())
+
 (* ---- min-area form ------------------------------------------------------------ *)
 
 let test_min_area_meets_bound () =
@@ -251,6 +279,8 @@ let () =
           Alcotest.test_case "unbudgeted vs baseline" `Slow
             test_gp_unbudgeted_beats_baseline;
           Alcotest.test_case "epigraph tight" `Slow test_gp_epigraph_tight;
+          Alcotest.test_case "sigma = 0 auglag agrees" `Slow
+            test_sigma_zero_auglag_agrees;
         ] );
       ( "min-area",
         [

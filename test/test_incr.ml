@@ -305,6 +305,47 @@ let test_engine_incremental_bit_identical () =
   Alcotest.(check int) "same evaluation count" full.Sizing.Engine.evaluations
     inc.Sizing.Engine.evaluations
 
+(* The paper's bounded area minimisation on the Table-1 stand-ins
+   (k = 3, bound 0.69 / 0.65 of the min-area mean), solved once
+   re-timing every candidate from scratch and once through a shared
+   engine, both on a 2-domain pool: the whole solver trajectory must
+   not move by a bit, while the engine re-evaluates only part of the
+   circuit per analysis (about a third).  Release only, which keeps the
+   dev-profile `dune runtest` short; about 6 s there. *)
+let test_bounded_table1_solves () =
+  if not (Release_profile.kernels_inlined ()) then Alcotest.skip ()
+  else
+    List.iter
+      (fun (name, net, fraction) ->
+        let pool = pool2 in
+        let unsized = Sizing.Engine.solve ~pool ~model net Sizing.Objective.Min_area in
+        let objective =
+          Sizing.Objective.Min_area_bounded
+            { k = 3.; bound = fraction *. unsized.Sizing.Engine.mu }
+        in
+        let scratch =
+          Sizing.Engine.solve
+            ~options:{ Sizing.Engine.default_options with Sizing.Engine.incremental = false }
+            ~pool ~model net objective
+        in
+        let eng = Sta.Incr.create ~pool ~model net in
+        let inc = Sizing.Engine.solve ~timing:eng ~pool ~model net objective in
+        check_floats_identical (name ^ ": sizes") scratch.Sizing.Engine.sizes
+          inc.Sizing.Engine.sizes;
+        check_floats_identical (name ^ ": mu, sigma")
+          [| scratch.Sizing.Engine.mu; scratch.Sizing.Engine.sigma |]
+          [| inc.Sizing.Engine.mu; inc.Sizing.Engine.sigma |];
+        Alcotest.(check int) (name ^ ": evaluations") scratch.Sizing.Engine.evaluations
+          inc.Sizing.Engine.evaluations;
+        let frac = Sta.Incr.dirty_fraction eng in
+        if not (frac < 1.) then
+          Alcotest.failf "%s: dirty fraction %.3f, the engine re-timed everything" name
+            frac)
+      [
+        ("apex1*", Generate.apex1_like (), 0.69);
+        ("k2*", Generate.k2_like (), 0.65);
+      ]
+
 let test_objective_switch_forces_full_sweep () =
   let net, bounded = bounded_setup () in
   let eng = Sta.Incr.create ~model net in
@@ -436,6 +477,8 @@ let () =
         [
           test_case "incremental solve bit-identical" `Quick
             test_engine_incremental_bit_identical;
+          test_case "Table-1 bounded solves (release only)" `Slow
+            test_bounded_table1_solves;
           test_case "objective switch invalidates" `Quick
             test_objective_switch_forces_full_sweep;
           test_case "multi-start restarts invalidate" `Quick

@@ -231,9 +231,9 @@ let test_warm_start_gp_never_worse () =
     cases
 
 let test_warm_start_gp_fewer_evals_apex2 () =
-  (* The headline warm-start claim (recorded in EXPERIMENTS.md, asserted
-     by bench gp): seeding the statistical solve from the GP optimum
-     cuts the evaluation count on apex2*. *)
+  (* The headline warm-start claim (recorded in EXPERIMENTS.md): seeding
+     the statistical solve from the GP optimum cuts the evaluation count
+     on apex2*. *)
   let net = Generate.apex2_like () in
   let obj = Objective.Min_delay 3. in
   let cold = Engine.solve ~model net obj in
