@@ -71,11 +71,18 @@ let apply_deltas t deltas =
    with Invalid_argument m -> raise (Bad m));
   sizes
 
-let analysis_payload t ~sizes (r : Sta.Ssta.result) =
+(* The reply carries the circuit moments only, so they are read off the
+   engine's arena ([Ssta.of_arena] reads the same two values) instead of
+   snapshotting every gate: a what-if on a large circuit then allocates
+   next to nothing, and needs no minor collection, which would wait for
+   every other domain. *)
+let analysis_payload t ~sizes =
+  Sta.Incr.analyze_raw t.incr ~sizes;
+  let a = Sta.Incr.arena t.incr in
   Protocol.Analysis
     {
-      mu = Statdelay.Normal.mu r.circuit;
-      var = Statdelay.Normal.var r.circuit;
+      mu = Sta.Arena.circuit_mu a;
+      var = Sta.Arena.circuit_var a;
       area = Circuit.Netlist.area t.net ~sizes;
       n_gates = Circuit.Netlist.n_gates t.net;
     }
@@ -187,11 +194,11 @@ let exec ?budget ?instrument t body =
     | Protocol.Analyze { sizes = spec } ->
         let sizes = resolve_sizes t spec in
         if expired budget then degraded_payload t ~sizes
-        else analysis_payload t ~sizes (Sta.Incr.analyze t.incr ~sizes)
+        else analysis_payload t ~sizes
     | Protocol.Whatif { deltas } ->
         let sizes = apply_deltas t deltas in
         if expired budget then degraded_payload t ~sizes
-        else analysis_payload t ~sizes (Sta.Incr.analyze t.incr ~sizes)
+        else analysis_payload t ~sizes
     | Protocol.Gradient { sizes = spec; seed } ->
         if expired budget then
           Protocol.Error

@@ -160,68 +160,95 @@ let encode_request (r : request) =
   Json.to_string
     (Json.Obj (("op", Json.Str (kind_of_body r.body)) :: (base @ body_fields)))
 
-let result_json = function
+(* An ok reply's "result": an object of fields, except for stats (any
+   value).  A float-array field is kept as the array, so the reply
+   encoder can write it straight into its buffer. *)
+type field = Value of Json.t | Floats of float array
+type result = Fields of (string * field) list | Raw of Json.t
+
+let result = function
   | Analysis { mu; var; area; n_gates } ->
-      Json.Obj
+      Fields
         [
-          ("mu", num mu);
-          ("var", num var);
-          ("area", num area);
-          ("n_gates", num (float_of_int n_gates));
+          ("mu", Value (num mu));
+          ("var", Value (num var));
+          ("area", Value (num area));
+          ("n_gates", Value (num (float_of_int n_gates)));
         ]
   | Degraded { typical; area } ->
-      Json.Obj
-        [ ("engine", Json.Str "dsta"); ("typical", num typical); ("area", num area) ]
+      Fields
+        [
+          ("engine", Value (Json.Str "dsta"));
+          ("typical", Value (num typical));
+          ("area", Value (num area));
+        ]
   | Gradient_result { value; gradient } ->
-      Json.Obj [ ("value", num value); ("gradient", floats gradient) ]
+      Fields [ ("value", Value (num value)); ("gradient", Floats gradient) ]
   | Sized { mu; sigma; area; sizes; evaluations; rungs } ->
-      Json.Obj
+      Fields
         [
-          ("mu", num mu);
-          ("sigma", num sigma);
-          ("area", num area);
-          ("sizes", floats sizes);
-          ("evaluations", num (float_of_int evaluations));
-          ("rungs", Json.List (List.map (fun r -> Json.Str r) rungs));
+          ("mu", Value (num mu));
+          ("sigma", Value (num sigma));
+          ("area", Value (num area));
+          ("sizes", Floats sizes);
+          ("evaluations", Value (num (float_of_int evaluations)));
+          ("rungs", Value (Json.List (List.map (fun r -> Json.Str r) rungs)));
         ]
-  | Stats_result j -> j
+  | Stats_result j -> Raw j
   | Health_result { status; uptime_seconds; resident } ->
-      Json.Obj
+      Fields
         [
-          ("status", Json.Str status);
-          ("uptime_seconds", num uptime_seconds);
-          ("resident", Json.List (List.map (fun r -> Json.Str r) resident));
+          ("status", Value (Json.Str status));
+          ("uptime_seconds", Value (num uptime_seconds));
+          ("resident", Value (Json.List (List.map (fun r -> Json.Str r) resident)));
         ]
-  | Error _ -> Json.Null
+  | Error _ -> Raw Json.Null
 
+let result_json p =
+  match result p with
+  | Raw j -> j
+  | Fields fields ->
+      Json.Obj
+        (List.map
+           (fun (k, f) -> (k, match f with Value v -> v | Floats a -> floats a))
+           fields)
+
+(* Renders exactly as [Json.to_string] of the reply's tree would. *)
 let encode_response r =
-  let id_field = [ ("id", r.id) ] in
-  match r.payload with
+  let b = Buffer.create 256 in
+  Buffer.add_string b "{\"id\":";
+  Json.to_buffer b r.id;
+  (match r.payload with
   | Error { code; message } ->
-      Json.to_string
+      Buffer.add_string b ",\"ok\":false,\"kind\":";
+      Json.to_buffer b (Json.Str r.kind);
+      Buffer.add_string b ",\"error\":";
+      Json.to_buffer b
         (Json.Obj
-           (id_field
-           @ [
-               ("ok", Json.Bool false);
-               ("kind", Json.Str r.kind);
-               ( "error",
-                 Json.Obj
-                   [
-                     ("code", Json.Str (error_code_name code));
-                     ("message", Json.Str message);
-                   ] );
-             ]))
-  | payload ->
-      let degraded = match payload with Degraded _ -> true | _ -> false in
-      Json.to_string
-        (Json.Obj
-           (id_field
-           @ [
-               ("ok", Json.Bool true);
-               ("kind", Json.Str r.kind);
-               ("degraded", Json.Bool degraded);
-               ("result", result_json payload);
-             ]))
+           [ ("code", Json.Str (error_code_name code)); ("message", Json.Str message) ])
+  | payload -> (
+      Buffer.add_string b ",\"ok\":true,\"kind\":";
+      Json.to_buffer b (Json.Str r.kind);
+      Buffer.add_string b
+        (match payload with
+        | Degraded _ -> ",\"degraded\":true,\"result\":"
+        | _ -> ",\"degraded\":false,\"result\":");
+      match result payload with
+      | Raw j -> Json.to_buffer b j
+      | Fields fields ->
+          Buffer.add_char b '{';
+          List.iteri
+            (fun i (k, f) ->
+              if i > 0 then Buffer.add_char b ',';
+              Json.to_buffer b (Json.Str k);
+              Buffer.add_char b ':';
+              match f with
+              | Value v -> Json.to_buffer b v
+              | Floats a -> Json.add_floats b a)
+            fields;
+          Buffer.add_char b '}'));
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* ---- decoding ----------------------------------------------------------------- *)
 

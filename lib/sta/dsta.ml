@@ -6,13 +6,27 @@ type result = {
   circuit : float;
 }
 
+(* Read off the flat columns, so a CSR-loaded netlist keeps its record
+   view unbuilt: the load folds the fanout row in [Netlist.load]'s
+   order and the delay is [Cell.delay]'s expression, the arena's
+   [eval_gate] arithmetic, bit for bit. *)
 let delays net ~sizes =
   Netlist.check_sizes net sizes;
-  Array.map
-    (fun (g : Netlist.gate) ->
-      let load = Netlist.load net ~sizes g.Netlist.id in
-      Cell.delay g.Netlist.cell ~size:sizes.(g.Netlist.id) ~load)
-    (Netlist.gates net)
+  let fl = Netlist.flat net in
+  let inv = fl.Netlist.inv_perm in
+  let out = Array.create_float (Netlist.n_gates net) in
+  for i = 0 to Array.length out - 1 do
+    let load = ref fl.Netlist.g_wire_load.(i) in
+    for j = fl.Netlist.fo_off.(i) to fl.Netlist.fo_off.(i + 1) - 1 do
+      load :=
+        !load
+        +. fl.Netlist.fo_mult.(j)
+           *. (fl.Netlist.fo_cin.(j) *. sizes.(inv.(fl.Netlist.fo_consumer.(j))))
+    done;
+    let id = inv.(i) in
+    out.(id) <- fl.Netlist.g_t_int.(i) +. (fl.Netlist.g_drive.(i) *. !load /. sizes.(id))
+  done;
+  out
 
 let propagate_into ?(pi_arrival = fun _ -> 0.) net ~gate_delay ~arrival =
   let n = Netlist.n_gates net in

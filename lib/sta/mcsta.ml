@@ -37,6 +37,17 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
   Util.Instr.add c_samples n;
   Util.Instr.time t_sample @@ fun () ->
   let ng = Netlist.n_gates net in
+  (* The topology comes from the flat view: fanins and primary outputs
+     as encoded new ids, levels as contiguous new-id ranges, so a
+     CSR-loaded netlist never builds its record view here.  Per-gate
+     streams, moments and variation cells stay in old-id order; the
+     arrival buffer is in new-id order. *)
+  let fl = Netlist.flat net in
+  let inv = fl.Netlist.inv_perm
+  and lvl_off = fl.Netlist.lvl_off
+  and fi_off = fl.Netlist.fi_off
+  and fi_node = fl.Netlist.fi_node
+  and po_node = fl.Netlist.po_node in
   (* Per-gate delay moments at the given sizes (fixed for the whole run).
      With an arena they are read off its delay pair plane
      ([Arena.delay_means_into], back in old-id order) — same loads,
@@ -59,58 +70,54 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
   (* One private stream per gate: sample k of gate g depends only on
      (seed, g, k), never on the batch boundaries or the schedule. *)
   let streams = Array.init ng (fun g -> Util.Rng.keyed seed ~key:g) in
-  let buckets = Netlist.level_buckets net in
-  let pos = Netlist.pos net in
   let out = Array.make n 0. in
   let b = min batch n in
-  (* Flat row-major arrival buffer: gate g's sample k lives at g*b + k. *)
+  (* Flat row-major arrival buffer: new id i's sample k lives at i*b + k. *)
   let arrival = Array.make (ng * b) 0. in
   let completed = ref 0 in
+  (* Primary-output reduction: serial, fixed order. *)
+  let reduce_pos bsz =
+    for k = 0 to bsz - 1 do
+      let t =
+        Array.fold_left
+          (fun acc nd ->
+            let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
+            if v > acc then v else acc)
+          neg_infinity po_node
+      in
+      out.(!completed + k) <- t
+    done
+  in
+  (* [body i] for every new id [i] of each level, a level at a time. *)
+  let sweep body =
+    for l = 0 to Array.length lvl_off - 2 do
+      let first = lvl_off.(l) in
+      for_level pool (lvl_off.(l + 1) - first) (fun r -> body (first + r))
+    done
+  in
   if Varmodel.is_independent varmodel then begin
     while !completed < n do
       let bsz = min b (n - !completed) in
       Util.Instr.incr c_batches;
-      Array.iter
-        (fun bucket ->
-          for_level pool (Array.length bucket) (fun i ->
-              let id = bucket.(i) in
-              let g = Netlist.gate net id in
-              let rng = streams.(id) in
-              let mu = mu_t.(id) and sigma = sigma_t.(id) in
-              let fanin = g.Netlist.fanin in
-              let deg = Array.length fanin in
-              let base = id * b in
-              for k = 0 to bsz - 1 do
-                let u = ref 0. in
-                if deg > 0 then begin
-                  u := neg_infinity;
-                  for j = 0 to deg - 1 do
-                    let v =
-                      match fanin.(j) with
-                      | Netlist.Pi p -> pi_arrival p
-                      | Netlist.Gate f -> arrival.((f * b) + k)
-                    in
-                    if v > !u then u := v
-                  done
-                end;
-                arrival.(base + k) <- !u +. draw rng ~mu ~sigma
-              done))
-        buckets;
-      (* Primary-output reduction: serial, fixed order. *)
-      for k = 0 to bsz - 1 do
-        let t =
-          Array.fold_left
-            (fun acc po ->
-              let v =
-                match po with
-                | Netlist.Pi p -> pi_arrival p
-                | Netlist.Gate g -> arrival.((g * b) + k)
-              in
-              if v > acc then v else acc)
-            neg_infinity pos
-        in
-        out.(!completed + k) <- t
-      done;
+      sweep (fun i ->
+          let id = inv.(i) in
+          let rng = streams.(id) in
+          let mu = mu_t.(id) and sigma = sigma_t.(id) in
+          let f0 = fi_off.(i) and f1 = fi_off.(i + 1) in
+          let base = i * b in
+          for k = 0 to bsz - 1 do
+            let u = ref 0. in
+            if f1 > f0 then begin
+              u := neg_infinity;
+              for j = f0 to f1 - 1 do
+                let nd = fi_node.(j) in
+                let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
+                if v > !u then u := v
+              done
+            end;
+            arrival.(base + k) <- !u +. draw rng ~mu ~sigma
+          done);
+      reduce_pos bsz;
       completed := !completed + bsz
     done
   end
@@ -130,7 +137,7 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
        batch sizes and pool domains.  The shared draws are replicated
        per batch serially (parameter i's trial-k draw at [i*b + k]). *)
     let p = Varmodel.n_params varmodel in
-    (* Old-id order, like every id in this sampler. *)
+    (* Old-id order, like the streams and the moments. *)
     let cells = Varmodel.cell_params varmodel net in
     let wg = Varmodel.w_global varmodel
     and wc = Varmodel.w_cell varmodel
@@ -146,54 +153,31 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
           dx.((i * b) + k) <- Util.Rng.gaussian rng ~mu:0. ~sigma:1.
         done
       done;
-      Array.iter
-        (fun bucket ->
-          for_level pool (Array.length bucket) (fun i ->
-              let id = bucket.(i) in
-              let g = Netlist.gate net id in
-              let rng = streams.(id) in
-              let mu = mu_t.(id) and sigma = sigma_t.(id) in
-              let sigma_r = wr *. sigma in
-              let cell = cells.(id) in
-              let fanin = g.Netlist.fanin in
-              let deg = Array.length fanin in
-              let base = id * b in
-              for k = 0 to bsz - 1 do
-                let u = ref 0. in
-                if deg > 0 then begin
-                  u := neg_infinity;
-                  for j = 0 to deg - 1 do
-                    let v =
-                      match fanin.(j) with
-                      | Netlist.Pi p -> pi_arrival p
-                      | Netlist.Gate f -> arrival.((f * b) + k)
-                    in
-                    if v > !u then u := v
-                  done
-                end;
-                let shared =
-                  (wg *. dx.(k))
-                  +. (if cell > 0 then wc *. dx.((cell * b) + k) else 0.)
-                in
-                arrival.(base + k) <-
-                  !u +. mu +. (sigma *. shared)
-                  +. draw rng ~mu:0. ~sigma:sigma_r
-              done))
-        buckets;
-      for k = 0 to bsz - 1 do
-        let t =
-          Array.fold_left
-            (fun acc po ->
-              let v =
-                match po with
-                | Netlist.Pi p -> pi_arrival p
-                | Netlist.Gate g -> arrival.((g * b) + k)
-              in
-              if v > acc then v else acc)
-            neg_infinity pos
-        in
-        out.(!completed + k) <- t
-      done;
+      sweep (fun i ->
+          let id = inv.(i) in
+          let rng = streams.(id) in
+          let mu = mu_t.(id) and sigma = sigma_t.(id) in
+          let sigma_r = wr *. sigma in
+          let cell = cells.(id) in
+          let f0 = fi_off.(i) and f1 = fi_off.(i + 1) in
+          let base = i * b in
+          for k = 0 to bsz - 1 do
+            let u = ref 0. in
+            if f1 > f0 then begin
+              u := neg_infinity;
+              for j = f0 to f1 - 1 do
+                let nd = fi_node.(j) in
+                let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
+                if v > !u then u := v
+              done
+            end;
+            let shared =
+              (wg *. dx.(k)) +. if cell > 0 then wc *. dx.((cell * b) + k) else 0.
+            in
+            arrival.(base + k) <-
+              !u +. mu +. (sigma *. shared) +. draw rng ~mu:0. ~sigma:sigma_r
+          done);
+      reduce_pos bsz;
       completed := !completed + bsz
     done
   end;

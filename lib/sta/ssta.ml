@@ -273,21 +273,30 @@ let arena_for ?arena ?varmodel net =
 
 (* Boundary conversion: planes -> the public result shape.  The Normal.t
    records are built directly from the plane values (the arena already
-   performed of_var's validation), so the snapshot is bit-exact. *)
+   performed of_var's validation), so the snapshot is bit-exact.
+
+   The record arrays are seeded with a static record, not built with
+   [Array.init]: an array over 256 words seeded with a young block makes
+   the runtime empty the minor heap first, a stop-the-world collection
+   that waits for every other domain, so each snapshot of a circuit over
+   256 gates would cost two rendezvous with whatever domain is running
+   beside it (a client spinning on the reply, say). *)
+let normal_zero = { Normal.mu = 0.; var = 0. }
+
+let normals_of_plane n perm (plane : Arena.vec) =
+  let out = Array.make n normal_zero in
+  for i = 0 to n - 1 do
+    let j = 2 * perm.(i) in
+    out.(i) <- { Normal.mu = Clark.vget plane j; var = Clark.vget plane (j + 1) }
+  done;
+  out
+
 let of_arena (a : Arena.t) : result =
   let n = a.Arena.n in
   let perm = a.Arena.flat.Circuit.Netlist.perm in
   {
-    arrival =
-      Array.init n (fun i ->
-          let j = 2 * perm.(i) in
-          { Normal.mu = Clark.vget a.Arena.arr j;
-            var = Clark.vget a.Arena.arr (j + 1) });
-    gate_delay =
-      Array.init n (fun i ->
-          let j = 2 * perm.(i) in
-          { Normal.mu = Clark.vget a.Arena.del j;
-            var = Clark.vget a.Arena.del (j + 1) });
+    arrival = normals_of_plane n perm a.Arena.arr;
+    gate_delay = normals_of_plane n perm a.Arena.del;
     loads = Array.init n (fun i -> Clark.vget a.Arena.load perm.(i));
     circuit = { Normal.mu = Arena.circuit_mu a; var = Arena.circuit_var a };
   }

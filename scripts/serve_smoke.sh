@@ -4,10 +4,12 @@
 # drives one scripted client session through every robustness path —
 # served analyze/whatif, typed breakdown from the injected fault, a
 # graceful-degradation reply and a typed timeout from hopeless
-# deadlines, quarantine after the breaker trips, a stats snapshot — then
-# SIGTERMs the daemon and asserts the drain: exit status 0, one reply
-# per request, typed error codes where expected, and a final counter
-# line satisfying submitted = served + degraded + shed + refused.
+# deadlines, quarantine after the breaker trips, a fully served
+# gradient (one entry per gate), a 10^5-deep nested line refused as a
+# typed bad_request while the daemon keeps serving, a stats snapshot —
+# then SIGTERMs the daemon and asserts the drain: exit status 0, one
+# reply per request, typed error codes where expected, and a final
+# counter line satisfying submitted = served + degraded + shed + refused.
 #
 # Usage: scripts/serve_smoke.sh [path-to-statsize]
 # (defaults to the dune build; run `dune build bin/statsize.exe` first,
@@ -49,8 +51,11 @@ done
 [ -S "$SOCK" ] || fail "socket $SOCK never appeared"
 
 # The scripted session.  recovery:false keeps the faulted solves cheap:
-# one breakdown each, no ladder.
-"$STATSIZE" serve --connect "$SOCK" >"$REPLIES" <<'EOF'
+# one breakdown each, no ladder.  Line 10 nests 10^5 arrays deep; its
+# id is never reached, so its reply carries "id":null.
+DEEP="{\"op\":\"analyze\",\"circuit\":\"tree\",\"sizes\":$(head -c 100000 /dev/zero | tr '\0' '[')"
+{
+  cat <<'EOF'
 {"op":"analyze","id":1,"circuit":"tree"}
 {"op":"whatif","id":2,"circuit":"tree","deltas":[[0,2.0]]}
 {"op":"size","id":3,"circuit":"fig2","objective":{"kind":"min-delay","k":3},"recovery":false,"max_evals":400}
@@ -59,14 +64,17 @@ done
 {"op":"analyze","id":6,"circuit":"tree","deadline_ms":0.000001}
 {"op":"gradient","id":7,"circuit":"tree","seed":"mu","deadline_ms":0.000001}
 {"op":"analyze","id":8,"circuit":"nowhere"}
-{"op":"stats","id":9}
+{"op":"gradient","id":9,"circuit":"tree","seed":{"mu_k_sigma":3}}
 EOF
+  echo "$DEEP"
+  echo '{"op":"stats","id":11}'
+} | "$STATSIZE" serve --connect "$SOCK" >"$REPLIES"
 CLIENT_STATUS=$?
 [ "$CLIENT_STATUS" -eq 0 ] || fail "client exited $CLIENT_STATUS"
 
 # One reply line per request.
 N_REPLIES=$(wc -l <"$REPLIES")
-[ "$N_REPLIES" -eq 9 ] || fail "expected 9 replies, got $N_REPLIES"
+[ "$N_REPLIES" -eq 11 ] || fail "expected 11 replies, got $N_REPLIES"
 
 expect() { # expect <id> <pattern> <label>
   grep -F "\"id\":$1," "$REPLIES" | grep -qF "$2" \
@@ -82,9 +90,23 @@ expect 5 '"code":"quarantined"'  "breaker tripped -> quarantined"
 expect 6 '"degraded":true'       "hopeless-deadline analyze degrades"
 expect 7 '"code":"timeout"'      "hopeless-deadline gradient -> typed timeout"
 expect 8 '"code":"unknown_circuit"' "unknown circuit -> typed error"
-expect 9 '"ok":true'             "stats served"
-expect 9 '"submitted"'           "stats carries the conservation counters"
-expect 9 '"breakers"'            "stats carries breaker states"
+expect 9 '"degraded":false'      "gradient fully served"
+expect 11 '"ok":true'            "stats served after the deep line"
+expect 11 '"submitted"'          "stats carries the conservation counters"
+expect 11 '"breakers"'           "stats carries breaker states"
+
+# The gradient reply parses and carries one entry per gate of tree.
+N_TREE=$("$STATSIZE" analyze -c tree | sed -n 's/.*gates=\([0-9]*\).*/\1/p')
+python3 -c '
+import json, sys
+reply = next(r for r in map(json.loads, open(sys.argv[1])) if r.get("id") == 9)
+sys.exit(0 if len(reply["result"]["gradient"]) == int(sys.argv[2]) else 1)
+' "$REPLIES" "$N_TREE" || fail "gradient reply lacks one entry per gate ($N_TREE)"
+
+# The deep line: a typed bad_request naming the nesting cap.
+grep -F '"id":null,' "$REPLIES" | grep -F '"code":"bad_request"' \
+  | grep -qF 'nesting deeper than' \
+  || fail "10^5-deep line did not come back as a typed bad_request"
 
 # SIGTERM: clean drain, exit 0, final counter line balances.
 kill -TERM "$DAEMON_PID"
@@ -95,10 +117,10 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
 COUNTS=$(grep -o 'drained; [0-9]* submitted = [0-9]* served + [0-9]* degraded + [0-9]* shed + [0-9]* refused' "$DAEMON_ERR") \
   || fail "daemon printed no drain counter line"
 read -r SUB SRV DEG SHD REF <<<"$(echo "$COUNTS" | grep -o '[0-9]*' | tr '\n' ' ')"
-[ "$SUB" -eq 9 ] || fail "daemon counted $SUB submitted, expected 9"
+[ "$SUB" -eq 11 ] || fail "daemon counted $SUB submitted, expected 11"
 [ "$SUB" -eq $((SRV + DEG + SHD + REF)) ] \
   || fail "conservation violated: $SUB != $SRV + $DEG + $SHD + $REF"
 [ "$DEG" -eq 1 ] || fail "expected exactly 1 degraded, got $DEG"
-[ "$SRV" -eq 3 ] || fail "expected 3 served (analyze, whatif, stats), got $SRV"
+[ "$SRV" -eq 4 ] || fail "expected 4 served (analyze, whatif, gradient, stats), got $SRV"
 
 echo "serve_smoke: OK ($SUB submitted = $SRV served + $DEG degraded + $SHD shed + $REF refused)"

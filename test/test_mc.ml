@@ -74,6 +74,108 @@ let test_pool_invariance () =
         [ 64; 512 ])
     [ ("2 domains", pool2); (Printf.sprintf "%d domains" big_jobs, pool_big) ]
 
+(* A pseudo-random .bench text: [n_in] inputs, [n_gates] gates of one
+   to three fanins over earlier nets (reconvergence and shared fanins
+   included), the last 16 gates as outputs. *)
+let random_bench_text ~n_in ~n_gates seed =
+  let rand = Random.State.make [| seed |] in
+  let buf = Buffer.create (64 * n_gates) in
+  let net i = if i < n_in then Printf.sprintf "i%d" i else Printf.sprintf "g%d" (i - n_in) in
+  for i = 0 to n_in - 1 do
+    Printf.bprintf buf "INPUT(i%d)\n" i
+  done;
+  for g = n_gates - 16 to n_gates - 1 do
+    Printf.bprintf buf "OUTPUT(g%d)\n" g
+  done;
+  for g = 0 to n_gates - 1 do
+    let k = 1 + Random.State.int rand 3 in
+    let args =
+      List.init k (fun _ ->
+          (* Mostly recent nets, so the DAG is deep as well as wide. *)
+          let avail = n_in + g in
+          net (if Random.State.bool rand then Random.State.int rand avail
+               else max 0 (avail - 1 - Random.State.int rand 24)))
+    in
+    let op =
+      match k with
+      | 1 -> if Random.State.bool rand then "NOT" else "BUFF"
+      | 2 -> [| "NAND"; "NOR"; "AND"; "OR"; "XOR" |].(Random.State.int rand 5)
+      | _ -> [| "NAND"; "AND"; "NOR" |].(Random.State.int rand 3)
+    in
+    Printf.bprintf buf "g%d = %s(%s)\n" g op (String.concat ", " args)
+  done;
+  Buffer.contents buf
+
+let load_bench text =
+  match Bench_format.parse_string ~library:(Cell.Library.default ()) text with
+  | Ok net -> net
+  | Error e -> Alcotest.failf "bench: %s" (Format.asprintf "%a" Bench_format.pp_error e)
+
+(* The same circuit through Netlist.Builder, from the records of a
+   second load: its flat view comes from the builder's path, not the
+   CSR loader's. *)
+let builder_copy net =
+  let b = Netlist.Builder.create () in
+  let pis = Array.init (Netlist.n_pis net) (fun i -> Netlist.Builder.add_pi b (Netlist.pi_name net i)) in
+  let gates = Array.make (Netlist.n_gates net) (Netlist.Gate 0) in
+  let node = function Netlist.Pi i -> pis.(i) | Netlist.Gate g -> gates.(g) in
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      gates.(g.id) <-
+        Netlist.Builder.add_gate b ~name:g.gate_name ~wire_load:g.wire_load ~cell:g.cell
+          (Array.to_list (Array.map node g.fanin)))
+    (Netlist.gates net);
+  Array.iteri (fun i po -> Netlist.Builder.mark_po b ~name:(Netlist.po_name net i) (node po)) (Netlist.pos net);
+  Netlist.Builder.build b
+
+(* A .bench-loaded netlist samples Int64-identically to a builder-built
+   copy, with and without an arena, independent and correlated, serial
+   and pooled. *)
+let test_bench_vs_builder () =
+  let text = random_bench_text ~n_in:24 ~n_gates:500 11 in
+  let loaded = load_bench text in
+  let built = builder_copy (load_bench text) in
+  let sizes =
+    Array.init (Netlist.n_gates loaded) (fun g -> 1. +. (0.25 *. float_of_int (g mod 7)))
+  in
+  let varmodels = [ Varmodel.independent; Varmodel.make ~grid:2 ~global_frac:0.3 ~grid_frac:0.3 () ] in
+  List.iter
+    (fun varmodel ->
+      List.iter
+        (fun (label, pool) ->
+          let run ?arena net = Mcsta.sample ?pool ?arena ~varmodel ~model ~seed:9 ~batch:37 net ~sizes ~n:200 in
+          let reference = run built in
+          check_samples_identical (label ^ " loaded") reference (run loaded);
+          check_samples_identical (label ^ " loaded, arena") reference
+            (run ~arena:(Sta.Arena.create loaded) loaded))
+        [ ("serial", None); ("2 domains", Some pool2) ])
+    varmodels
+
+(* The no-arena delay means read the flat columns: on a fresh
+   .bench-loaded netlist the first one-trial sample allocates no more
+   than the second (the record view is never built). *)
+let test_bench_sample_words () =
+  let net = load_bench (random_bench_text ~n_in:64 ~n_gates:20_000 5) in
+  let sizes = Netlist.min_sizes net in
+  let words () =
+    (* An empty minor heap: promotions in the window are then of words
+       allocated in it. *)
+    Gc.minor ();
+    let m0, p0, j0 = Gc.counters () in
+    ignore (Sys.opaque_identity (Mcsta.sample ~model ~seed:1 net ~sizes ~n:1));
+    let m1, p1, j1 = Gc.counters () in
+    m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+  in
+  let first = words () in
+  let second = words () in
+  let per_gate w = w /. float_of_int (Netlist.n_gates net) in
+  Printf.printf "sample ~n:1 on %d gates: first %.0f words (%.1f/gate), second %.0f (%.1f/gate)\n"
+    (Netlist.n_gates net) first (per_gate first) second (per_gate second);
+  (* Identical calls can differ by about 5 words per gate here; building
+     the record view costs about 80. *)
+  if per_gate first > per_gate second +. 8. then
+    Alcotest.failf "first call allocated %.0f words, second %.0f" first second
+
 let test_seed_sensitivity () =
   let net = Generate.tree () in
   let sizes = Netlist.min_sizes net in
@@ -332,6 +434,9 @@ let () =
           test_case "seed sensitivity" `Quick test_seed_sensitivity;
           test_case "prefix property" `Quick test_prefix_property;
           test_case "invalid args" `Quick test_invalid_args;
+          test_case ".bench-loaded vs builder-built" `Quick test_bench_vs_builder;
+          test_case ".bench first sample allocates no more" `Quick
+            test_bench_sample_words;
         ] );
       ( "differential",
         [

@@ -77,6 +77,179 @@ let test_json_values_and_errors () =
       | Ok _ -> Alcotest.failf "parsed garbage %S" s)
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1 2" (* trailing garbage *); "\"unterminated" ]
 
+(* Every parse error names the byte offset where it was found. *)
+let test_json_positioned_errors () =
+  List.iter
+    (fun (text, want) ->
+      match Serve.Json.parse text with
+      | Ok _ -> Alcotest.failf "parsed garbage %S" text
+      | Error msg ->
+          Alcotest.(check string) (Printf.sprintf "error for %S" text) want msg)
+    [
+      ("", "unexpected end of input at offset 0");
+      ("[1,", "unexpected end of input at offset 3");
+      ("\"abc", "unterminated string opened at offset 0");
+      ("{\"k\":\"ab", "unterminated string opened at offset 5");
+      ("\"a\\q\"", "bad escape \\q at offset 2");
+      ("\"a\\", "unterminated escape at offset 2");
+      ("\"\\u12", "truncated \\u escape at offset 1");
+      ("\"\\u12zz\"", "bad \\u escape \"12zz\" at offset 1");
+      ("tru", "bad literal at offset 0");
+      ("[1 2]", "expected , or ] at offset 3");
+      ("1 2", "trailing garbage at offset 2");
+    ]
+
+(* Nesting is capped: a hostile line comes back as a typed error naming
+   the depth and the offset, never a stack overflow, and the request
+   decoder never raises. *)
+let test_json_depth_cap () =
+  let deep = 1_000_000 in
+  let line = "{\"op\":\"analyze\",\"id\":" ^ String.make deep '[' in
+  (* The object is one level, so the 512th '[' (offset 21 + 511) is the
+     first one too deep. *)
+  let want = Printf.sprintf "nesting deeper than %d at offset %d" Serve.Json.max_depth 532 in
+  (match Serve.Protocol.decode_request line with
+  | Error msg -> Alcotest.(check string) "deep request" want msg
+  | Ok _ -> Alcotest.fail "decoded a 10^6-deep request");
+  (match Serve.Json.parse (String.make deep '[' ^ String.make deep ']') with
+  | Error msg ->
+      Alcotest.(check string) "deep array"
+        (Printf.sprintf "nesting deeper than %d at offset %d" Serve.Json.max_depth 512)
+        msg
+  | Ok _ -> Alcotest.fail "parsed a 10^6-deep array");
+  (* Exactly at the cap still parses. *)
+  let at_cap = String.make Serve.Json.max_depth '[' ^ String.make Serve.Json.max_depth ']' in
+  match Serve.Json.parse at_cap with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%d-deep array rejected: %s" Serve.Json.max_depth msg
+
+(* ---- float printer vs the three-sprintf oracle ---------------------------------- *)
+
+let check_printer f =
+  let got = Serve.Json.number_to_string f and want = Json_oracle.number_to_string f in
+  if not (String.equal got want) then
+    Alcotest.failf "%h (bits %016Lx): printed %S, oracle %S" f (Int64.bits_of_float f) got
+      want
+
+(* [k] ulps away from [f], upward for k > 0. *)
+let rec ulps f k =
+  if k = 0 then f else if k > 0 then ulps (Float.succ f) (k - 1) else ulps (Float.pred f) (k + 1)
+
+(* Every binary exponent, subnormal ones included: each power of two and
+   its +-1..4-ulp neighbours, both signs. *)
+let test_printer_binary_exponents () =
+  for k = -1074 to 1023 do
+    let p = Float.ldexp 1. k in
+    for d = -4 to 4 do
+      let f = ulps p d in
+      if Float.is_finite f then begin
+        check_printer f;
+        check_printer (-.f)
+      end
+    done
+  done
+
+(* The powers of two whose 16-digit rounding lies outside their
+   half-width lower rounding interval while the 16-digit decimal above
+   parses back: the rule gives them 17 digits where a shortest-digit
+   printer would give 16. *)
+let test_printer_asymmetric_powers () =
+  let sig_digits s =
+    let mant = match String.index_opt s 'e' with Some i -> String.sub s 0 i | None -> s in
+    let ds = String.concat "" (String.split_on_char '.' mant) in
+    let ds = if ds.[0] = '-' then String.sub ds 1 (String.length ds - 1) else ds in
+    let i = ref 0 in
+    while ds.[!i] = '0' do
+      incr i
+    done;
+    String.length ds - !i
+  in
+  let found = ref [] in
+  (* From the second normal binade on, the interval below is half as wide. *)
+  for k = -1021 to 1023 do
+    let p = Float.ldexp 1. k in
+    let s = Serve.Json.number_to_string p in
+    if sig_digits s = 17 then begin
+      (* %.16e is the 17-digit rounding; its first 16 digits plus one is
+         the least 16-digit decimal above p. *)
+      let e17 = Printf.sprintf "%.16e" p in
+      let first16 = int_of_string (String.make 1 e17.[0] ^ String.sub e17 2 15) in
+      let exp = int_of_string (String.sub e17 19 (String.length e17 - 19)) in
+      let above = Printf.sprintf "%de%d" (first16 + 1) (exp - 15) in
+      if float_of_string above = p then found := k :: !found
+    end
+  done;
+  Alcotest.(check int) "powers of two that keep 17 digits" 46 (List.length !found);
+  Alcotest.(check bool) "2^-957 among them" true (List.mem (-957) !found);
+  Alcotest.(check string) "2^-957" "8.2090736025967525e-289"
+    (Serve.Json.number_to_string (Float.ldexp 1. (-957)))
+
+let test_printer_edges () =
+  let subnormal_min = Int64.float_of_bits 1L
+  and subnormal_max = Int64.float_of_bits 0xF_FFFF_FFFF_FFFFL in
+  List.iter
+    (fun f ->
+      check_printer f;
+      check_printer (-.f))
+    [
+      0.;
+      subnormal_min;
+      subnormal_max;
+      Float.min_float;
+      Float.max_float;
+      (* the integral fast path's edges *)
+      1e15 -. 0.5;
+      Float.pred 1e15;
+      1e15;
+      Float.succ 1e15;
+      Float.ldexp 1. 53;
+      (* exact ties at 16 and 17 digits *)
+      1e15 +. 0.5;
+      1e15 +. 0.25;
+      1e15 +. 0.75;
+      (* %g layout switches *)
+      1e-4;
+      Float.pred 1e-4;
+      1e-5;
+      123456789012345.6;
+      1e16;
+      1e17;
+      1e21;
+      0.1;
+      1. /. 3.;
+      Float.pi;
+      Float.nan;
+      Float.infinity;
+    ];
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) want (Serve.Json.number_to_string f))
+    [
+      (-0., "-0");
+      (0., "0");
+      (7., "7");
+      (1e15, "1e+15");
+      (Float.ldexp 1. 53, "9007199254740992");
+      (1e-5, "1e-05");
+      (Int64.float_of_bits 1L, "4.94065645841247e-324");
+      (0.1, "0.1");
+      (Float.nan, "\"nan\"");
+      (Float.neg_infinity, "\"-inf\"");
+    ]
+
+(* Keyed random bit patterns: 10^7 in the release profile, 10^5 in dev. *)
+let test_printer_random_bits () =
+  let n = if Release_profile.kernels_inlined () then 10_000_000 else 100_000 in
+  let seed = Lazy.force Seed_info.seed in
+  let rand = Random.State.make [| seed; 0x6a73 |] in
+  for _ = 1 to n do
+    let f = Int64.float_of_bits (Random.State.bits64 rand) in
+    let got = Serve.Json.number_to_string f and want = Json_oracle.number_to_string f in
+    if not (String.equal got want) then
+      Alcotest.failf "%h (bits %016Lx): printed %S, oracle %S\n  reproduce: %s" f
+        (Int64.bits_of_float f) got want (Seed_info.repro_command ())
+  done
+
 (* ---- Protocol ----------------------------------------------------------------- *)
 
 let sample_requests =
@@ -217,10 +390,39 @@ let sample_responses =
     };
   ]
 
+(* The reply as the tree-building encoder rendered it, through the old
+   printer: what the wire carried before replies were written straight
+   into a buffer. *)
+let oracle_reply (r : Serve.Protocol.response) =
+  let open Serve.Json in
+  let fields =
+    match r.payload with
+    | Serve.Protocol.Error { code; message } ->
+        [
+          ("ok", Bool false);
+          ("kind", Str r.kind);
+          ( "error",
+            Obj
+              [
+                ("code", Str (Serve.Protocol.error_code_name code));
+                ("message", Str message);
+              ] );
+        ]
+    | p ->
+        [
+          ("ok", Bool true);
+          ("kind", Str r.kind);
+          ("degraded", Bool (match p with Serve.Protocol.Degraded _ -> true | _ -> false));
+          ("result", Serve.Protocol.result_json p);
+        ]
+  in
+  Json_oracle.to_string (Obj (("id", r.id) :: fields))
+
 let test_response_roundtrip () =
   List.iter
     (fun r ->
       let line = Serve.Protocol.encode_response r in
+      Alcotest.(check string) "byte-equal to the tree encoder" (oracle_reply r) line;
       match Serve.Protocol.decode_response line with
       | Error msg -> Alcotest.failf "cannot decode %S: %s" line msg
       | Ok r' ->
@@ -229,6 +431,26 @@ let test_response_roundtrip () =
             line
             (Serve.Protocol.encode_response r'))
     sample_responses
+
+(* Every prefix of a valid request or reply decodes to a value or an
+   [Error]; none raises. *)
+let test_truncated_lines_never_raise () =
+  let lines =
+    List.map Serve.Protocol.encode_request sample_requests
+    @ List.map Serve.Protocol.encode_response sample_responses
+  in
+  List.iter
+    (fun line ->
+      for len = 0 to String.length line do
+        let prefix = String.sub line 0 len in
+        match
+          (Serve.Protocol.decode_request prefix, Serve.Protocol.decode_response prefix)
+        with
+        | _ -> ()
+        | exception e ->
+            Alcotest.failf "prefix %S raised %s" prefix (Printexc.to_string e)
+      done)
+    lines
 
 let test_shed_class_order () =
   let cls b = Serve.Protocol.shed_class b in
@@ -432,6 +654,69 @@ let test_exec_analyze_bit_identity () =
   Alcotest.(check string) "committed spec"
     (render (batch_analysis net ~sizes:(Circuit.Netlist.min_sizes net)))
     (render payload')
+
+(* Serving a circuit over 256 gates must not empty the minor heap: in
+   OCaml 5 that is a stop-the-world collection which waits for every
+   other domain, among them a client spinning on its reply, so on a host
+   that gives the process one CPU each forced collection costs a
+   scheduler slice.  [Array.init] over records did this twice per result
+   snapshot.  apex1* has 982 gates.  Collections the loop's own minor
+   allocation explains are allowed: a dev build boxes floats in the
+   sweeps and fills the minor heap a few times. *)
+let test_exec_no_forced_minor_collection () =
+  let net = netlist "apex1" in
+  let target = Serve.Exec.create ~model net in
+  let sizes k =
+    Array.map (fun s -> s +. (0.1 *. float_of_int k)) (Circuit.Netlist.min_sizes net)
+  in
+  let analyze k =
+    Serve.Exec.exec target (Serve.Protocol.Analyze { sizes = Serve.Protocol.Explicit (sizes k) })
+  in
+  let gradient () =
+    Serve.Exec.exec target
+      (Serve.Protocol.Gradient
+         { sizes = Serve.Protocol.Committed; seed = Serve.Protocol.Seed_mu_k_sigma 3. })
+  in
+  ignore (analyze 0);
+  ignore (gradient ());
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  Gc.minor ();
+  let m0 = minors () and w0 = Gc.minor_words () in
+  let last = ref (analyze 0) in
+  for k = 1 to 4 do
+    last := analyze k;
+    ignore (Serve.Exec.exec target (Serve.Protocol.Whatif { deltas = [| (k, 2.0) |] }));
+    ignore (gradient ())
+  done;
+  let filled = int_of_float (Gc.minor_words () -. w0) / (Gc.get ()).Gc.minor_heap_size in
+  let collections = minors () - m0 in
+  if collections > filled + 1 then
+    Alcotest.failf "%d minor collections for %d minor heaps of allocation" collections filled;
+  Alcotest.(check string) "served equals batch, bit for bit"
+    (render (batch_analysis net ~sizes:(sizes 4)))
+    (render !last)
+
+(* The reply a sizing loop asks for most: apex1*'s mu + 3 sigma gradient
+   at the committed sizes, one float per gate, byte-equal to what the
+   old encoder sent. *)
+let test_exec_gradient_reply_bytes () =
+  let net = netlist "apex1" in
+  let target = Serve.Exec.create ~model net in
+  let payload =
+    Serve.Exec.exec target
+      (Serve.Protocol.Gradient
+         { sizes = Serve.Protocol.Committed; seed = Serve.Protocol.Seed_mu_k_sigma 3. })
+  in
+  (match payload with
+  | Serve.Protocol.Gradient_result { gradient; _ } ->
+      Alcotest.(check int) "one entry per gate" (Circuit.Netlist.n_gates net)
+        (Array.length gradient)
+  | p -> Alcotest.failf "gradient answered %s" (render p));
+  let r = { Serve.Protocol.id = Serve.Json.Num 1.; kind = "gradient"; payload } in
+  let line = Serve.Protocol.encode_response r in
+  Printf.printf "apex1* gradient reply: %d bytes\n" (String.length line);
+  Alcotest.(check string) "reply bytes" (oracle_reply r) line;
+  Alcotest.(check bool) "a whole gradient" true (String.length line > 20_000)
 
 let test_exec_degraded_and_timeout () =
   let net = netlist "tree" in
@@ -935,6 +1220,15 @@ let () =
           Alcotest.test_case "float bits round-trip" `Quick test_json_float_bits;
           Alcotest.test_case "values and parse errors" `Quick
             test_json_values_and_errors;
+          Alcotest.test_case "positioned parse errors" `Quick test_json_positioned_errors;
+          Alcotest.test_case "nesting depth cap" `Quick test_json_depth_cap;
+          Alcotest.test_case "printer: every binary exponent" `Quick
+            test_printer_binary_exponents;
+          Alcotest.test_case "printer: asymmetric powers of two" `Quick
+            test_printer_asymmetric_powers;
+          Alcotest.test_case "printer: edges" `Quick test_printer_edges;
+          Alcotest.test_case "printer: random bit patterns" `Quick
+            test_printer_random_bits;
         ] );
       ( "protocol",
         [
@@ -942,6 +1236,8 @@ let () =
           Alcotest.test_case "request rejects garbage" `Quick
             test_request_rejects_garbage;
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
+          Alcotest.test_case "truncated lines never raise" `Quick
+            test_truncated_lines_never_raise;
           Alcotest.test_case "shed class order" `Quick test_shed_class_order;
           Alcotest.test_case "error code names" `Quick test_error_code_names;
         ] );
@@ -955,6 +1251,9 @@ let () =
         [
           Alcotest.test_case "analyze bit identity" `Quick
             test_exec_analyze_bit_identity;
+          Alcotest.test_case "gradient reply bytes" `Quick test_exec_gradient_reply_bytes;
+          Alcotest.test_case "no forced minor collection" `Quick
+            test_exec_no_forced_minor_collection;
           Alcotest.test_case "degraded and timeout" `Quick
             test_exec_degraded_and_timeout;
           Alcotest.test_case "bad requests" `Quick test_exec_bad_requests;
