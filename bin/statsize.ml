@@ -269,8 +269,8 @@ let objective_of ~objective ~k ~bound ~mu =
 
 let size_cmd =
   let run circuit blif bench library_file wire_load sigma_ratio varmodel objective k
-      bound mu print_sizes mc deadline max_evals no_recovery no_incremental
-      warm_start jobs profile =
+      bound mu print_sizes mc deadline max_evals no_recovery warm_start jobs
+      profile =
     let vm = parse_varmodel varmodel in
     match load_circuit ~blif ~bench ~library_file ~circuit ~wire_load with
     | Error msg ->
@@ -312,7 +312,6 @@ let size_cmd =
                 Sizing.Engine.deadline;
                 Sizing.Engine.max_evaluations = max_evals;
                 Sizing.Engine.recovery = not no_recovery;
-                Sizing.Engine.incremental = not no_incremental;
                 Sizing.Engine.warm_start = warm;
               }
             in
@@ -382,15 +381,6 @@ let size_cmd =
     in
     Arg.(value & flag & info [ "no-recovery" ] ~doc)
   in
-  let no_incremental_arg =
-    let doc =
-      "Disable incremental (dirty-cone) re-timing between solver evaluations \
-       and run a full SSTA sweep per evaluation.  Results are bit-identical \
-       either way; with --profile, the incr.* counters show what the cache \
-       saved."
-    in
-    Arg.(value & flag & info [ "no-incremental" ] ~doc)
-  in
   let warm_start_arg =
     let doc =
       "Start the solve from a surrogate's solution: 'gp' solves the mean-model \
@@ -404,7 +394,7 @@ let size_cmd =
       const run $ circuit_arg $ blif_arg $ bench_arg $ library_arg $ wire_load_arg
       $ sigma_ratio_arg $ varmodel_arg $ objective_arg $ k_arg $ bound_arg $ mu_arg
       $ print_sizes_arg $ mc_arg $ deadline_arg $ max_evals_arg $ no_recovery_arg
-      $ no_incremental_arg $ warm_start_arg $ jobs_arg $ profile_arg)
+      $ warm_start_arg $ jobs_arg $ profile_arg)
   in
   Cmd.v (Cmd.info "size" ~doc:"Solve a statistical gate sizing problem") term
 

@@ -95,16 +95,24 @@ let degraded_payload t ~sizes =
   Protocol.Degraded
     { typical = r.circuit; area = Circuit.Netlist.area t.net ~sizes }
 
-let seed_fn = function
-  | Protocol.Seed_mu -> fun _ -> { Sta.Ssta.d_mu = 1.; d_var = 0. }
-  | Protocol.Seed_var -> fun _ -> { Sta.Ssta.d_mu = 0.; d_var = 1. }
-  | Protocol.Seed_mu_k_sigma k -> Sta.Ssta.mu_plus_k_sigma_seed k
-
-let seed_value seed (r : Sta.Ssta.result) =
-  match seed with
-  | Protocol.Seed_mu -> Statdelay.Normal.mu r.circuit
-  | Protocol.Seed_var -> Statdelay.Normal.var r.circuit
-  | Protocol.Seed_mu_k_sigma k -> Statdelay.Normal.mu_plus_k_sigma r.circuit k
+(* A gradient reply, like [analysis_payload], reads the circuit moments
+   off the engine's arena and differentiates into the reply's own
+   array: no per-gate snapshot.  The seed is a function of the circuit
+   moments only, so it is computed after the forward analysis. *)
+let gradient_payload t ~sizes seed =
+  Sta.Incr.analyze_raw t.incr ~sizes;
+  let a = Sta.Incr.arena t.incr in
+  let mu = Sta.Arena.circuit_mu a and var = Sta.Arena.circuit_var a in
+  let value, d_mu, d_var =
+    match seed with
+    | Protocol.Seed_mu -> (mu, 1., 0.)
+    | Protocol.Seed_var -> (var, 0., 1.)
+    | Protocol.Seed_mu_k_sigma k ->
+        (mu +. (k *. sqrt var), 1., Sta.Ssta.k_sigma_dvar ~k ~var)
+  in
+  let gradient = Array.make (Circuit.Netlist.n_gates t.net) 0. in
+  Sta.Incr.gradient_into t.incr ~sizes ~d_mu ~d_var ~out:gradient;
+  Protocol.Gradient_result { value; gradient }
 
 let objective_of_spec = function
   | Protocol.Min_delay k -> Sizing.Objective.Min_delay k
@@ -204,11 +212,7 @@ let exec ?budget ?instrument t body =
           Protocol.Error
             { code = Timeout; message = "deadline expired before service" }
         else
-          let sizes = resolve_sizes t spec in
-          let r, gradient =
-            Sta.Incr.value_and_gradient t.incr ~sizes ~seed:(seed_fn seed)
-          in
-          Protocol.Gradient_result { value = seed_value seed r; gradient }
+          gradient_payload t ~sizes:(resolve_sizes t spec) seed
     | Protocol.Size { objective; recovery } ->
         if expired budget then
           Protocol.Error

@@ -1,7 +1,7 @@
 (* The registered invariant suite the harness runs after every op.
 
-   The differential checks are bitwise: in exact mode the incremental
-   engine, the arena sweeps, the boxed reference sweeps and every pooled
+   The differential checks are bitwise: the incremental engine, the
+   arena sweeps, the boxed reference sweeps (Boxed_ssta) and every pooled
    configuration must agree to the last Int64 bit (the repo-wide
    determinism contract).  The remaining checks are structural: corner
    envelopes, correlation-matrix sanity, recovery-ladder soundness under
@@ -127,7 +127,7 @@ let arena_vs_boxed (st : State.t) _ =
       ~sizes:st.State.sizes
   in
   let boxed =
-    Sta.Ssta.Boxed.analyze ~model:st.State.model st.State.net
+    Boxed_ssta.analyze ~model:st.State.model st.State.net
       ~sizes:st.State.sizes
   in
   results_identical "arena vs boxed" arena boxed
@@ -146,7 +146,7 @@ let gradient_vs_scratch (st : State.t) _ =
       in
       let* () = floats_identical "incr vs scratch gradient" inc_grad scratch_grad in
       let boxed_grad =
-        Sta.Ssta.Boxed.gradient ~model:st.State.model st.State.net
+        Boxed_ssta.gradient ~model:st.State.model st.State.net
           ~sizes:st.State.sizes ~seed
       in
       let* () = floats_identical "scratch vs boxed gradient" scratch_grad boxed_grad in

@@ -1,9 +1,9 @@
 (** The registered invariant suite run after every simulated op.
 
-    The differential checks are bitwise ([Int64.bits_of_float]): in
-    exact mode the warm incremental engine, a from-scratch arena sweep,
-    the boxed reference sweeps and every pooled domain configuration
-    must agree to the last bit.  The structural checks cover the corner
+    The differential checks are bitwise ([Int64.bits_of_float]): the
+    warm incremental engine, a from-scratch arena sweep, the boxed
+    reference sweeps ({!Boxed_ssta}) and every pooled domain
+    configuration must agree to the last bit.  The structural checks cover the corner
     envelope against {!Sta.Dsta}/{!Sta.Ssta}, correlation-matrix sanity
     of {!Sta.Cssta}, recovery-ladder soundness under injected faults,
     monotone engine counters, and the release-profile words/eval

@@ -10,7 +10,6 @@ type options = {
   deadline : float option;
   max_evaluations : int option;
   recovery : bool;
-  incremental : bool;
   instrument : (Nlp.Problem.constrained -> Nlp.Problem.constrained) option;
 }
 
@@ -38,7 +37,6 @@ let default_options =
     deadline = None;
     max_evaluations = None;
     recovery = true;
-    incremental = true;
     instrument = None;
   }
 
@@ -118,11 +116,17 @@ type cache_entry = {
 let circuit_mu_of e = e.cmom.(0)
 let circuit_var_of e = e.cmom.(1)
 
-let make_cache ?pool ?timing ?arena ?varmodel ~model net =
-  (match (timing, varmodel) with
-  | Some eng, Some vm when vm <> Sta.Arena.varmodel (Sta.Incr.arena eng) ->
-      invalid_arg "Engine: timing engine was created for a different varmodel"
-  | _ -> ());
+let make_cache ?pool ?timing ?varmodel ~model net =
+  let eng =
+    match timing with
+    | Some eng ->
+        (match varmodel with
+        | Some vm when vm <> Sta.Arena.varmodel (Sta.Incr.arena eng) ->
+            invalid_arg "Engine: timing engine was created for a different varmodel"
+        | _ -> ());
+        eng
+    | None -> Sta.Incr.create ?pool ?varmodel ~model net
+  in
   let n = Netlist.n_gates net in
   let entry =
     {
@@ -133,21 +137,6 @@ let make_cache ?pool ?timing ?arena ?varmodel ~model net =
       filled = false;
     }
   in
-  (* From-scratch path: one private arena (or the caller's), forward
-     once per miss, one reverse per basis seed. *)
-  let arena =
-    lazy
-      (match arena with
-      | Some a ->
-          if not (Sta.Arena.netlist a == net) then
-            invalid_arg "Engine: arena was created for a different netlist";
-          (match varmodel with
-          | Some vm when vm <> Sta.Arena.varmodel a ->
-              invalid_arg "Engine: arena was created for a different varmodel"
-          | _ -> ());
-          a
-      | None -> Sta.Arena.create ?varmodel net)
-  in
   fun x ->
     if entry.filled && Array.for_all2 (fun a b -> a = b) entry.cx x then begin
       Util.Instr.incr c_cache_hits;
@@ -155,30 +144,16 @@ let make_cache ?pool ?timing ?arena ?varmodel ~model net =
     end
     else begin
       Util.Instr.incr c_cache_misses;
-      (match timing with
-      | Some eng ->
-          (* The incremental engine re-times only the fan-out cone of
-             the delta against the previous iterate, and the second
-             basis differentiation hits its forward cache outright (zero
-             dirty gates).  Exact mode: bit-identical to the
-             from-scratch path below. *)
-          Sta.Incr.analyze_raw eng ~sizes:x;
-          let a = Sta.Incr.arena eng in
-          entry.cmom.(0) <- Sta.Arena.circuit_mu a;
-          entry.cmom.(1) <- Sta.Arena.circuit_var a;
-          Sta.Incr.gradient_into eng ~sizes:x ~d_mu:1. ~d_var:0.
-            ~out:entry.grad_mu;
-          Sta.Incr.gradient_into eng ~sizes:x ~d_mu:0. ~d_var:1.
-            ~out:entry.grad_var
-      | None ->
-          let a = Lazy.force arena in
-          Sta.Ssta.forward_raw ?pool ~model a ~sizes:x;
-          entry.cmom.(0) <- Sta.Arena.circuit_mu a;
-          entry.cmom.(1) <- Sta.Arena.circuit_var a;
-          Sta.Ssta.reverse_raw ?pool ~model a ~d_mu:1. ~d_var:0.;
-          Sta.Arena.gradient_into a entry.grad_mu;
-          Sta.Ssta.reverse_raw ?pool ~model a ~d_mu:0. ~d_var:1.;
-          Sta.Arena.gradient_into a entry.grad_var);
+      (* The incremental engine re-times only the fan-out cone of the
+         delta against the previous iterate, and the second basis
+         differentiation hits its forward cache outright (zero dirty
+         gates); both bit-identical to from-scratch sweeps. *)
+      Sta.Incr.analyze_raw eng ~sizes:x;
+      let a = Sta.Incr.arena eng in
+      entry.cmom.(0) <- Sta.Arena.circuit_mu a;
+      entry.cmom.(1) <- Sta.Arena.circuit_var a;
+      Sta.Incr.gradient_into eng ~sizes:x ~d_mu:1. ~d_var:0. ~out:entry.grad_mu;
+      Sta.Incr.gradient_into eng ~sizes:x ~d_mu:0. ~d_var:1. ~out:entry.grad_var;
       Array.blit x 0 entry.cx 0 n;
       entry.filled <- true;
       entry
@@ -186,25 +161,23 @@ let make_cache ?pool ?timing ?arena ?varmodel ~model net =
 
 (* grad (mu + k*sigma) from the basis gradients. *)
 let combine ~k entry =
-  let var = circuit_var_of entry in
-  let dvar = if k = 0. || var <= 0. then 0. else k /. (2. *. sqrt var) in
+  let dvar = Sta.Ssta.k_sigma_dvar ~k ~var:(circuit_var_of entry) in
   Array.init (Array.length entry.grad_mu) (fun i ->
       entry.grad_mu.(i) +. (dvar *. entry.grad_var.(i)))
 
 let sigma_gradient entry =
-  let var = circuit_var_of entry in
-  let dvar = if var <= 0. then 0. else 1. /. (2. *. sqrt var) in
+  let dvar = Sta.Ssta.k_sigma_dvar ~k:1. ~var:(circuit_var_of entry) in
   Array.map (fun g -> dvar *. g) entry.grad_var
 
 let area_objective net x =
   let grad = Array.map (fun (g : Netlist.gate) -> g.Netlist.cell.Cell.area) (Netlist.gates net) in
   (Netlist.area net ~sizes:x, grad)
 
-let build_problem ?pool ?timing ?arena ?varmodel ~model net objective =
+let build_problem ?pool ?timing ?varmodel ~model net objective =
   let bounds =
     Nlp.Problem.bounds ~lower:(Netlist.min_sizes net) ~upper:(Netlist.max_sizes net)
   in
-  let lookup = make_cache ?pool ?timing ?arena ?varmodel ~model net in
+  let lookup = make_cache ?pool ?timing ?varmodel ~model net in
   let mu_of = circuit_mu_of in
   let sigma_of e = sqrt (circuit_var_of e) in
   match objective with
@@ -404,11 +377,8 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
          evaluations re-time only the changed fan-out cones. *)
       let timing =
         match timing with
-        | Some _ as t -> t
-        | None ->
-            if options.incremental then
-              Some (Sta.Incr.create ?pool ?varmodel ~model net)
-            else None
+        | Some t -> t
+        | None -> Sta.Incr.create ?pool ?varmodel ~model net
       in
       (* One snapshot arena for the final reporting evaluations (never
          the incremental engine's — that one owns its planes). *)
@@ -416,7 +386,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
       let evaluate_snap sizes =
         evaluate ?pool ~arena:(Lazy.force snap_arena) ?varmodel ~model net ~sizes
       in
-      let problem = build_problem ?pool ?timing ?varmodel ~model net objective in
+      let problem = build_problem ?pool ~timing ?varmodel ~model net objective in
       let problem =
         match options.instrument with None -> problem | Some f -> f problem
       in
@@ -435,7 +405,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
            cache: the perturbed/fault-recovery paths must never trust
            state from a failed trajectory, and an objective switch on a
            shared engine gets a full sweep the same way. *)
-        Option.iter Sta.Incr.invalidate timing;
+        Sta.Incr.invalidate timing;
         let r = Nlp.Auglag.solve ~options:(with_budget solver) problem ~x0 in
         total_evals := !total_evals + r.Nlp.Auglag.evaluations;
         r

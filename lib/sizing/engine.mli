@@ -15,15 +15,15 @@
     {!Util.Pool.t} down to the SSTA sweeps so large circuits evaluate
     level-parallel.
 
-    {b Incremental re-timing.}  With [options.incremental] (the
-    default) each solve owns a persistent {!Sta.Incr} engine, so
-    consecutive solver evaluations re-propagate only the fan-out cones
-    of the sizes the line search actually moved — in exact mode this is
-    bit-identical to from-scratch evaluation, so solutions do not move
-    by a bit when it is disabled.  The cache is invalidated wholesale at
-    every attempt boundary (multi-start restarts, each recovery-ladder
-    rung, and any objective switch on a caller-shared [?timing] engine).
-    Counters surface as [incr.*] (see {!Sta.Incr}).
+    {b Incremental re-timing.}  Every evaluation goes through a
+    persistent {!Sta.Incr} engine — the caller's [?timing], or one the
+    solve owns — so consecutive solver evaluations re-propagate only the
+    fan-out cones of the sizes the line search actually moved, with
+    moments and gradients bit-identical to from-scratch sweeps.  The
+    cache is invalidated wholesale at every attempt boundary
+    (multi-start restarts, each recovery-ladder rung, and any objective
+    switch on a caller-shared [?timing] engine).  Counters surface as
+    [incr.*] (see {!Sta.Incr}).
 
     {b Resilience.}  [solve] never raises on numerical failure.  The
     solver stack runs behind {!Nlp.Problem.guarded}; when the initial
@@ -65,10 +65,6 @@ type options = {
       (** budget on objective/constraint evaluations across all attempts,
           default [None] *)
   recovery : bool;  (** enable the recovery ladder (default [true]) *)
-  incremental : bool;
-      (** evaluate through a persistent {!Sta.Incr} dirty-cone engine
-          instead of from-scratch sweeps (default [true]; bit-identical
-          results either way) *)
   instrument : (Nlp.Problem.constrained -> Nlp.Problem.constrained) option;
       (** hook applied to the internally built problem before solving —
           used by the fault-injection tests to corrupt evaluations;
@@ -177,7 +173,6 @@ type cache_entry = {
 val make_cache :
   ?pool:Util.Pool.t ->
   ?timing:Sta.Incr.t ->
-  ?arena:Sta.Arena.t ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
   Circuit.Netlist.t ->
@@ -191,17 +186,17 @@ val make_cache :
     and of the variance) and the gradient of any functional
     {m f(\mu, \sigma^2)} is their linear combination — objective and
     constraint closures evaluated at one iterate share a single timing
-    analysis.  With [timing], cache misses evaluate through the
-    incremental engine (dirty-cone re-timing; the second basis gradient
-    hits its forward cache); otherwise through allocation-free sweeps on
-    [arena] (or a private {!Sta.Arena}).  The single entry and its
+    analysis.  Cache misses evaluate through an incremental engine —
+    [timing], or a private {!Sta.Incr} created with [pool] and
+    [varmodel] — with dirty-cone re-timing (the second basis gradient
+    hits its forward cache) and no per-miss allocation.  The single
+    entry and its
     buffers are allocated once and overwritten in place — callers must
     not mutate or retain them across calls. *)
 
 val build_problem :
   ?pool:Util.Pool.t ->
   ?timing:Sta.Incr.t ->
-  ?arena:Sta.Arena.t ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
   Circuit.Netlist.t ->

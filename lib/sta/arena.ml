@@ -26,10 +26,10 @@ open Statdelay
 
    Bit-identity contract: the sweeps perform the same floating-point
    operations in the same order as the boxed reference implementation
-   (Ssta.Boxed), via the flat Clark kernels (Clark.max2_into and
-   friends), so arrivals, circuit moments and gradients are
-   Int64-bit-identical to the record-returning path at 1, 2 or 4
-   domains.  test/test_arena.ml enforces this differentially.
+   (Sim.Boxed_ssta, with the verification code), via the flat Clark
+   kernels (Clark.max2_into and friends), so arrivals, circuit moments
+   and gradients are Int64-bit-identical to the record-returning path
+   at 1, 2 or 4 domains.  test/test_arena.ml enforces this differentially.
 
    Scratch-plane layout.  A gate's fanin fold of Clark.max2 owns the
    slot range [fi_off.(g) .. fi_off.(g+1) - 1] of the [pre] (prefix

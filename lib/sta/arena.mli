@@ -18,9 +18,10 @@
     {!delay_means_into} scatter results back through the permutation.
 
     The sweeps perform bit-identical floating-point operations to the
-    boxed reference ({!Ssta.Boxed}), via the in-place Clark kernels, at
-    any pool width — [test/test_arena.ml] enforces Int64 equality of
-    arrivals, circuit moments and gradients differentially.
+    record-based reference kept with the verification code
+    ([Sim.Boxed_ssta]), via the in-place Clark kernels, at any pool
+    width — [test/test_arena.ml] enforces Int64 equality of arrivals,
+    circuit moments and gradients differentially.
 
     The record is exposed so the engines built on top ([Ssta], [Incr],
     [Mcsta], [Sizing.Engine]) and the differential tests can read the

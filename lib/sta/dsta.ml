@@ -28,26 +28,35 @@ let delays net ~sizes =
   done;
   out
 
+(* Walk the flat fanin CSR in new-id (level-major) order, reading and
+   writing the caller's old-id arrays through [inv_perm]: every fanin
+   sits on a lower level, and each gate folds its fanins in
+   [gate.fanin] order with [max]'s comparison, so the arrivals are the
+   record walk's bit for bit without building the record view.  The
+   folds are spelled out so no float is boxed per edge. *)
 let propagate_into ?(pi_arrival = fun _ -> 0.) net ~gate_delay ~arrival =
   let n = Netlist.n_gates net in
   if Array.length gate_delay <> n || Array.length arrival < n then
     invalid_arg "Dsta.propagate_into: dimension mismatch";
-  let node_arrival = function
-    | Netlist.Pi i -> pi_arrival i
-    | Netlist.Gate g -> arrival.(g)
-  in
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      let u =
-        Array.fold_left
-          (fun acc fan -> max acc (node_arrival fan))
-          neg_infinity g.Netlist.fanin
-      in
-      arrival.(g.Netlist.id) <- u +. gate_delay.(g.Netlist.id))
-    (Netlist.gates net);
-  Array.fold_left
-    (fun acc po -> max acc (node_arrival po))
-    neg_infinity (Netlist.pos net)
+  let fl = Netlist.flat net in
+  let inv = fl.Netlist.inv_perm in
+  for g = 0 to n - 1 do
+    let u = ref neg_infinity in
+    for j = fl.Netlist.fi_off.(g) to fl.Netlist.fi_off.(g + 1) - 1 do
+      let e = fl.Netlist.fi_node.(j) in
+      let v = if e >= 0 then arrival.(inv.(e)) else pi_arrival (-e - 1) in
+      if not (!u >= v) then u := v
+    done;
+    let id = inv.(g) in
+    arrival.(id) <- !u +. gate_delay.(id)
+  done;
+  let c = ref neg_infinity in
+  for j = 0 to Array.length fl.Netlist.po_node - 1 do
+    let e = fl.Netlist.po_node.(j) in
+    let v = if e >= 0 then arrival.(inv.(e)) else pi_arrival (-e - 1) in
+    if not (!c >= v) then c := v
+  done;
+  !c
 
 let analyze_with_delays ?pi_arrival net ~gate_delay =
   let arrival = Array.make (Netlist.n_gates net) 0. in
@@ -59,20 +68,26 @@ let analyze ?pi_arrival net ~sizes =
 
 let required net ~gate_delay ~deadline =
   let n = Netlist.n_gates net in
+  let fl = Netlist.flat net in
+  let inv = fl.Netlist.inv_perm in
   let req = Array.make n infinity in
   (* A gate feeding a PO must finish by the deadline. *)
   Array.iter
-    (function Netlist.Gate g -> req.(g) <- min req.(g) deadline | Netlist.Pi _ -> ())
-    (Netlist.pos net);
-  (* Reverse topological order = decreasing id. *)
+    (fun e ->
+      if e >= 0 && not (req.(inv.(e)) <= deadline) then req.(inv.(e)) <- deadline)
+    fl.Netlist.po_node;
+  (* Reverse topological order: decreasing new id, so every consumer
+     (on a higher level) has pushed its start time before a gate's own
+     requirement is read.  Each update is [min]'s comparison, spelled
+     out; for finite delays the result does not depend on the order
+     consumers are visited in. *)
   for g = n - 1 downto 0 do
-    let gate = Netlist.gate net g in
-    let own_start = req.(g) -. gate_delay.(g) in
-    Array.iter
-      (function
-        | Netlist.Gate src -> req.(src) <- min req.(src) own_start
-        | Netlist.Pi _ -> ())
-      gate.Netlist.fanin
+    let id = inv.(g) in
+    let own_start = req.(id) -. gate_delay.(id) in
+    for j = fl.Netlist.fi_off.(g) to fl.Netlist.fi_off.(g + 1) - 1 do
+      let e = fl.Netlist.fi_node.(j) in
+      if e >= 0 && not (req.(inv.(e)) <= own_start) then req.(inv.(e)) <- own_start
+    done
   done;
   req
 

@@ -39,11 +39,14 @@ val propagate_into :
     caller-owned [arrival] scratch (length at least [n_gates]) and
     returns the circuit delay.  The Monte Carlo loops ({!Crit},
     {!Yield}) reuse one scratch across all samples.  Same operations,
-    same bits as {!analyze_with_delays}. *)
+    same bits as {!analyze_with_delays}.  Walks the flat fanin columns
+    ({!Circuit.Netlist.flat}), so a CSR-loaded netlist keeps its record
+    view unbuilt and the sweep allocates nothing. *)
 
 val required :
   Circuit.Netlist.t -> gate_delay:float array -> deadline:float -> float array
-(** Required times per gate for the given deadline (backwards pass). *)
+(** Required times per gate for the given deadline (backwards pass over
+    the flat fanin columns; allocates only the returned array). *)
 
 val slack :
   Circuit.Netlist.t -> sizes:float array -> deadline:float -> float array

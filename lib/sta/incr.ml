@@ -1,8 +1,6 @@
 open Circuit
 open Statdelay
 
-type mode = Exact | Epsilon of float
-
 (* ---- instrumentation -------------------------------------------------------- *)
 
 let c_analyze = Util.Instr.counter "incr.analyze"
@@ -77,7 +75,6 @@ type t = {
   net : Netlist.t;
   model : Sigma_model.t;
   pool : Util.Pool.t option;
-  mode : mode;
   n : int;
   (* Cached state of the last analyze lives in the arena's planes: sizes,
      loads, delay moments, arrivals and the per-gate fold prefixes
@@ -123,17 +120,12 @@ type t = {
   st : stats;
 }
 
-let create ?pool ?(mode = Exact) ?varmodel ~model net =
-  (match mode with
-  | Exact -> ()
-  | Epsilon e ->
-      if not (e >= 0.) then invalid_arg "Incr.create: epsilon must be >= 0");
+let create ?pool ?varmodel ~model net =
   let n = Netlist.n_gates net in
   {
     net;
     model;
     pool;
-    mode;
     n;
     a = Arena.create ?varmodel net;
     f_valid = false;
@@ -167,7 +159,6 @@ let create ?pool ?(mode = Exact) ?varmodel ~model net =
   }
 
 let netlist t = t.net
-let mode t = t.mode
 let arena t = t.a
 
 (* Canonical (shared-source) arenas bypass the incremental machinery:
@@ -204,12 +195,6 @@ let invalidate t = t.f_valid <- false
 
 let bits = Int64.bits_of_float
 let fbits_eq a b = Int64.equal (bits a) (bits b)
-
-(* Epsilon-mode closeness on (mu, var) pairs — the operations of the old
-   record-based [normal_close], on plane scalars. *)
-let close eps nmu nvar omu ovar =
-  abs_float (nmu -. omu) <= eps *. (1. +. abs_float omu)
-  && abs_float (sqrt nvar -. sqrt ovar) <= eps *. (1. +. sqrt ovar)
 
 let pooled_for t n body =
   match t.pool with
@@ -274,10 +259,7 @@ let[@inline] recompute_one t id =
   and old_var = Clark.vget a.Arena.arr ((2 * id) + 1) in
   let changed =
     (not t.initialized)
-    ||
-    match t.mode with
-    | Exact -> not (fbits_eq arr_mu old_mu && fbits_eq arr_var old_var)
-    | Epsilon e -> not (close e arr_mu arr_var old_mu old_var)
+    || not (fbits_eq arr_mu old_mu && fbits_eq arr_var old_var)
   in
   let changed_local =
     (not t.initialized)
@@ -288,14 +270,8 @@ let[@inline] recompute_one t id =
   Clark.vset a.Arena.load id load;
   Clark.vset a.Arena.del (2 * id) mu_t;
   Clark.vset a.Arena.del ((2 * id) + 1) var_t;
-  (match (t.mode, changed) with
-  | Epsilon _, false ->
-      (* Epsilon cutoff keeps the lagged arrival: consumers then see a
-         value consistent with what they were last timed against. *)
-      ()
-  | _ ->
-      Clark.vset a.Arena.arr (2 * id) arr_mu;
-      Clark.vset a.Arena.arr ((2 * id) + 1) arr_var);
+  Clark.vset a.Arena.arr (2 * id) arr_mu;
+  Clark.vset a.Arena.arr ((2 * id) + 1) arr_var;
   t.changed.(id) <- changed;
   t.changed_local.(id) <- changed_local
 

@@ -22,9 +22,8 @@
     - the arrival of one of its fanin gates changed.
 
     Dirtiness propagates level by level ({!Circuit.Netlist.level_buckets})
-    with {e early cutoff}: if a re-evaluated gate's arrival is unchanged
-    (bit-identical in {!Exact} mode, within tolerance in {!Epsilon}
-    mode), its consumers are not marked.  Clean gates keep their cached
+    with {e early cutoff}: if a re-evaluated gate's arrival is
+    bit-identical to its cached value, its consumers are not marked.  Clean gates keep their cached
     values, which are bit-identical to what a from-scratch sweep would
     produce because every in-place Clark kernel ({!Statdelay.Clark})
     is replayed with bit-identical operands on the same arena planes.
@@ -40,16 +39,12 @@
     seed root (the engine's basis seeds {m (1,0)} and {m (0,1)} each get
     their own slot).
 
-    {2 Modes}
+    {2 Exactness}
 
-    {!Exact} (the default) guarantees results — values {e and}
-    gradients — bit-identical to {!Ssta.analyze} /
-    {!Ssta.value_and_gradient} at every step; the differential harness
-    [test/test_incr.ml] asserts this over randomized delta sequences at
-    1/2/4 domains.  {!Epsilon}[ e] additionally cuts propagation when a
-    recomputed arrival moved by less than [e] (relative, on mu and
-    sigma); the cached arrival then {e lags} the recomputed one by up to
-    [e] per gate, trading exactness for a smaller cone.
+    Results — values {e and} gradients — are bit-identical to
+    {!Ssta.analyze} / {!Ssta.value_and_gradient} at every step; the
+    differential harness [test/test_incr.ml] asserts this over
+    randomized delta sequences at 1/2/4 domains.
 
     {2 Parallelism and instrumentation}
 
@@ -62,27 +57,18 @@
     [incr.phase1_reused], [incr.phase1_recomputed],
     [incr.partials_reused]. *)
 
-type mode =
-  | Exact
-      (** cut propagation only on bit-identical arrivals; results are
-          bit-identical to from-scratch sweeps *)
-  | Epsilon of float
-      (** cut propagation when mu and sigma moved less than this
-          relative tolerance; approximate, bounded per-gate lag *)
-
 type t
 (** A persistent engine bound to one netlist, sigma model and optional
     pool.  Not thread-safe: one engine per solver. *)
 
 val create :
   ?pool:Util.Pool.t ->
-  ?mode:mode ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
   Circuit.Netlist.t ->
   t
 (** A fresh engine with an empty cache; the first {!analyze} is a full
-    sweep.  [mode] defaults to {!Exact}.  Primary-input arrivals are the
+    sweep.  Primary-input arrivals are the
     default deterministic zero, as in {!Ssta.analyze}.
 
     With a shared-source [varmodel] the engine degenerates to cached
@@ -96,21 +82,20 @@ val create :
     bit for bit. *)
 
 val netlist : t -> Circuit.Netlist.t
-val mode : t -> mode
 
 val analyze : t -> sizes:float array -> Ssta.result
 (** Forward timing at [sizes], re-evaluating only the dirty cone of the
     delta against the engine's cached state.  The returned result is a
-    fresh snapshot (safe to hold across later calls).  In {!Exact} mode
-    it is bit-identical to [Ssta.analyze ~model net ~sizes]. *)
+    fresh snapshot (safe to hold across later calls), bit-identical to
+    [Ssta.analyze ~model net ~sizes]. *)
 
 val value_and_gradient :
   t ->
   sizes:float array ->
   seed:(Ssta.result -> Ssta.seed) ->
   Ssta.result * float array
-(** Incremental counterpart of {!Ssta.value_and_gradient}; in {!Exact}
-    mode both components are bit-identical to it. *)
+(** Incremental counterpart of {!Ssta.value_and_gradient}; both
+    components are bit-identical to it. *)
 
 val gradient :
   t -> sizes:float array -> seed:(Ssta.result -> Ssta.seed) -> float array

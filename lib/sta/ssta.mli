@@ -28,8 +28,13 @@
     called concurrently from worker domains).
 
     Instrumented via {!Util.Instr}: counters [ssta.analyze],
-    [ssta.gradient], [ssta.parallel_levels], [ssta.serial_levels] and
-    timers [ssta.forward], [ssta.reverse]. *)
+    [ssta.gradient] and timers [ssta.forward], [ssta.reverse]; the
+    arena sweeps underneath count [ssta.parallel_levels] and
+    [ssta.serial_levels].
+
+    This module ships one engine, the {!Arena} sweeps.  The record-based
+    reference they are differentially tested against lives with the
+    verification code ([Sim.Boxed_ssta]). *)
 
 open Statdelay
 
@@ -146,43 +151,15 @@ val reverse_raw :
     gradient array: requires the state left by {!forward_raw}, fills the
     arena's [grad] plane.  Counted as [ssta.gradient]. *)
 
-(** {1 Boxed reference implementation}
-
-    The original record-based sweeps, kept verbatim.  The arena-backed
-    entry points above must agree with these to the last bit —
-    [test/test_arena.ml] compares them with [Int64.bits_of_float] on
-    every arrival, delay, load, circuit moment and gradient entry.
-    Slower and allocation-heavy; use only as a differential oracle. *)
-
-module Boxed : sig
-  val analyze :
-    ?pool:Util.Pool.t ->
-    ?pi_arrival:(int -> Normal.t) ->
-    model:Circuit.Sigma_model.t ->
-    Circuit.Netlist.t ->
-    sizes:float array ->
-    result
-
-  val value_and_gradient :
-    ?pool:Util.Pool.t ->
-    ?pi_arrival:(int -> Normal.t) ->
-    model:Circuit.Sigma_model.t ->
-    Circuit.Netlist.t ->
-    sizes:float array ->
-    seed:(result -> seed) ->
-    result * float array
-
-  val gradient :
-    ?pool:Util.Pool.t ->
-    ?pi_arrival:(int -> Normal.t) ->
-    model:Circuit.Sigma_model.t ->
-    Circuit.Netlist.t ->
-    sizes:float array ->
-    seed:(result -> seed) ->
-    float array
-end
-
 (** {1 Common functionals} *)
+
+val k_sigma_dvar : k:float -> var:float -> float
+(** {m \partial (k\sigma)/\partial\sigma^2 = k / (2\sigma)} at the
+    circuit variance [var]: the variance half of every
+    {m \mu + k\sigma} (and {m \sigma}, [k = 1.]) seed.  Taken as [0.]
+    when [k = 0.] or the distribution is degenerate ([var <= 0.]).  The
+    one definition the seeds below, the sizing engine's gradient
+    combinations and the serve daemon's gradient replies share. *)
 
 val mu_plus_k_sigma_seed : float -> result -> seed
 (** Seed for {m f = \mu + k\sigma}:
@@ -191,4 +168,4 @@ val mu_plus_k_sigma_seed : float -> result -> seed
     the variance derivative is taken as [0.]. *)
 
 val sigma_seed : result -> seed
-(** Seed for {m f = \sigma}. *)
+(** Seed for {m f = \sigma}: [k_sigma_dvar ~k:1.]. *)

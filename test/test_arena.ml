@@ -1,10 +1,11 @@
 (* Differential tests for the flat structure-of-arrays timing arena.
 
-   Sta.Ssta.Boxed is the pre-refactor record-based implementation kept
-   verbatim as a golden oracle: every arena-backed engine entry point
-   must produce Int64-bit-identical values AND gradients against it, on
-   generated and .bench circuits, at 1, 2 and 4 domains, across arena
-   reuse (the same planes swept at many size vectors).  A second group
+   Sim.Boxed_ssta is the pre-refactor record-based implementation kept
+   verbatim as a serial golden oracle: every arena-backed engine entry
+   point must produce Int64-bit-identical values AND gradients against
+   it, on generated and .bench circuits, with the arena side at 1, 2
+   and 4 domains, across arena reuse (the same planes swept at many
+   size vectors).  A second group
    is a Gc-based regression test: a steady-state forward (and reverse)
    sweep on a reused arena must not allocate — strictly in the release
    profile where the Clark kernels inline, within a loose per-gate
@@ -113,13 +114,13 @@ let run_differential ?pool ~steps ~seed name net =
     let msg = Printf.sprintf "%s step %d" name step in
     if step mod 4 = 0 then
       check_results_identical msg
-        (Sta.Ssta.Boxed.analyze ?pool ~model net ~sizes)
+        (Sim.Boxed_ssta.analyze ~model net ~sizes)
         (Sta.Ssta.analyze ?pool ~arena ~model net ~sizes)
     else begin
       let seed_name, seedf = seed_for step in
       let msg = Printf.sprintf "%s (%s)" msg seed_name in
       let res_b, grad_b =
-        Sta.Ssta.Boxed.value_and_gradient ?pool ~model net ~sizes ~seed:seedf
+        Sim.Boxed_ssta.value_and_gradient ~model net ~sizes ~seed:seedf
       in
       let res_a, grad_a =
         Sta.Ssta.value_and_gradient ?pool ~arena ~model net ~sizes ~seed:seedf
@@ -148,7 +149,7 @@ let test_differential_pi_arrival () =
   in
   let seedf = Sta.Ssta.mu_plus_k_sigma_seed 3. in
   let res_b, grad_b =
-    Sta.Ssta.Boxed.value_and_gradient ~pi_arrival ~model net ~sizes ~seed:seedf
+    Sim.Boxed_ssta.value_and_gradient ~pi_arrival ~model net ~sizes ~seed:seedf
   in
   let res_a, grad_a =
     Sta.Ssta.value_and_gradient ~pi_arrival ~model net ~sizes ~seed:seedf

@@ -77,6 +77,119 @@ let test_dsta_critical_path_unbalanced () =
   let p = Sta.Dsta.critical_path n ~sizes:(Netlist.min_sizes n) in
   Alcotest.(check (list int)) "long branch" [ 0; 1; 2 ] p
 
+(* The record walk the deterministic sweeps are checked against: gates
+   in id order over [Netlist.gates], fanins folded with [max] in
+   [gate.fanin] order; required times pushed to the fanins in
+   decreasing id. *)
+let record_arrivals ~pi_arrival net ~gate_delay =
+  let arrival = Array.make (Netlist.n_gates net) 0. in
+  let node = function Netlist.Pi i -> pi_arrival i | Netlist.Gate g -> arrival.(g) in
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      let u =
+        Array.fold_left (fun acc f -> max acc (node f)) neg_infinity g.Netlist.fanin
+      in
+      arrival.(g.Netlist.id) <- u +. gate_delay.(g.Netlist.id))
+    (Netlist.gates net);
+  (arrival, Array.fold_left (fun acc po -> max acc (node po)) neg_infinity (Netlist.pos net))
+
+let record_required net ~gate_delay ~deadline =
+  let req = Array.make (Netlist.n_gates net) infinity in
+  Array.iter
+    (function Netlist.Gate g -> req.(g) <- min req.(g) deadline | Netlist.Pi _ -> ())
+    (Netlist.pos net);
+  for g = Netlist.n_gates net - 1 downto 0 do
+    let own_start = req.(g) -. gate_delay.(g) in
+    Array.iter
+      (function
+        | Netlist.Gate src -> req.(src) <- min req.(src) own_start | Netlist.Pi _ -> ())
+      (Netlist.gate net g).Netlist.fanin
+  done;
+  req
+
+let allocated_words f =
+  let m0, p0, j0 = Gc.counters () in
+  let r = f () in
+  let m1, p1, j1 = Gc.counters () in
+  (r, m1 -. m0 +. (j1 -. j0) -. (p1 -. p0))
+
+(* A seeded .bench text of [n] two-input gates over 40 inputs: each gate
+   reads two random earlier nets, so depths are mixed and inputs enter
+   at every level; the last 40 gates are outputs. *)
+let mixed_bench_text n =
+  let rng = Util.Rng.create 23 in
+  let pis = 40 in
+  let buf = Buffer.create (32 * n) in
+  for i = 0 to pis - 1 do
+    Printf.bprintf buf "INPUT(i%d)\n" i
+  done;
+  for g = n - 40 to n - 1 do
+    Printf.bprintf buf "OUTPUT(g%d)\n" g
+  done;
+  let name k = if k < pis then Printf.sprintf "i%d" k else Printf.sprintf "g%d" (k - pis) in
+  for g = 0 to n - 1 do
+    let a = name (Util.Rng.int rng (pis + g)) in
+    let b = name (Util.Rng.int rng (pis + g)) in
+    Printf.bprintf buf "g%d = NAND(%s, %s)\n" g a b
+  done;
+  Buffer.contents buf
+
+let bits = Int64.bits_of_float
+
+let check_bits msg (expected : float array) (actual : float array) =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun i x ->
+      if not (Int64.equal (bits x) (bits actual.(i))) then
+        Alcotest.failf "%s: slot %d: %h <> %h" msg i x actual.(i))
+    expected
+
+(* Dsta's arrival and required-time sweeps read the flat fanin columns:
+   on a .bench load they build no record view and allocate nothing per
+   gate, and they match the record walk bit for bit — on the loaded
+   netlist and on a generated one whose ids are not level-major. *)
+let test_dsta_flat_walk () =
+  let n_gates = 5_000 in
+  let net =
+    match
+      Bench_format.parse_string ~library:(Cell.Library.default ())
+        (mixed_bench_text n_gates)
+    with
+    | Ok n -> n
+    | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Bench_format.pp_error e)
+  in
+  Alcotest.(check int) "gates" n_gates (Netlist.n_gates net);
+  let gate_delay = Sta.Dsta.delays net ~sizes:(Netlist.min_sizes net) in
+  let arrival = Array.make n_gates nan in
+  (* Measured with the default input arrivals: a caller's [pi_arrival]
+     closure boxes the float it returns. *)
+  let _, w_arr =
+    allocated_words (fun () -> Sta.Dsta.propagate_into net ~gate_delay ~arrival)
+  in
+  if w_arr > 64. then
+    Alcotest.failf "propagate_into allocated %.0f words on %d gates" w_arr n_gates;
+  let pi_arrival i = 0.05 *. float_of_int (i mod 7) in
+  let circuit = Sta.Dsta.propagate_into ~pi_arrival net ~gate_delay ~arrival in
+  let deadline = circuit +. 0.5 in
+  let req, w_req =
+    allocated_words (fun () -> Sta.Dsta.required net ~gate_delay ~deadline)
+  in
+  if w_req > float_of_int n_gates +. 64. then
+    Alcotest.failf "required allocated %.0f words for a %d-float vector" w_req n_gates;
+  let check name net ~pi_arrival ~gate_delay ~arrival ~circuit ~req =
+    let arr_ref, circuit_ref = record_arrivals ~pi_arrival net ~gate_delay in
+    check_bits (name ^ ": arrivals") arr_ref arrival;
+    check_bits (name ^ ": circuit delay") [| circuit_ref |] [| circuit |];
+    check_bits (name ^ ": required") (record_required net ~gate_delay ~deadline) req
+  in
+  check "bench" net ~pi_arrival ~gate_delay ~arrival ~circuit ~req;
+  let dag = Generate.apex1_like () in
+  let gate_delay = Sta.Dsta.delays dag ~sizes:(Netlist.max_sizes dag) in
+  let r = Sta.Dsta.analyze_with_delays ~pi_arrival dag ~gate_delay in
+  check "apex1*" dag ~pi_arrival ~gate_delay ~arrival:r.Sta.Dsta.arrival
+    ~circuit:r.Sta.Dsta.circuit
+    ~req:(Sta.Dsta.required dag ~gate_delay ~deadline)
+
 (* ---- Statistical STA --------------------------------------------------------- *)
 
 let test_ssta_chain_no_max () =
@@ -719,6 +832,7 @@ let () =
           Alcotest.test_case "critical path chain" `Quick test_dsta_critical_path_chain;
           Alcotest.test_case "critical path unbalanced" `Quick
             test_dsta_critical_path_unbalanced;
+          Alcotest.test_case "flat walk on a .bench load" `Quick test_dsta_flat_walk;
         ] );
       ( "ssta",
         [
