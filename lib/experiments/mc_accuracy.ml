@@ -64,16 +64,15 @@ let run ?pool ?(model = Circuit.Sigma_model.paper_default) ?(samples = 200_000)
     }
   in
   (* F-SHAPE: same circuit, same per-gate moments, different element
-     distribution families, injected through the oracle's [draw] hook. *)
+     distribution families, selected by the oracle's [shape] argument. *)
   let shape_net = Circuit.Generate.tree () in
   let shape_sizes = Circuit.Netlist.min_sizes shape_net in
   let shape_samples = max 2 (samples / 4) in
   let shapes =
     List.map
       (fun (shape_name, shape) ->
-        let draw rng ~mu ~sigma = Sta.Yield.draw_shape rng shape ~mu ~sigma in
         let mc =
-          Sta.Mcsta.sample ?pool ~model ~seed:(seed + 1) ~draw shape_net
+          Sta.Mcsta.sample ?pool ~model ~seed:(seed + 1) ~shape shape_net
             ~sizes:shape_sizes ~n:shape_samples
         in
         let st = Util.Stats.of_array mc in

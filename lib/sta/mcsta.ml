@@ -1,8 +1,22 @@
 open Circuit
 
-type draw = Util.Rng.t -> mu:float -> sigma:float -> float
+type shape = Gaussian | Uniform | Shifted_exponential | Two_point
 
-let gaussian_draw rng ~mu ~sigma = Util.Rng.gaussian rng ~mu ~sigma
+(* Draw from the given family with mean [mu] and standard deviation
+   [sigma] (all four families are moment-matched).  Inlined into the
+   sampling loops, where [shape] is loop-invariant: no closure call and
+   no boxed float per draw. *)
+let[@inline] draw_shape rng shape ~mu ~sigma =
+  match shape with
+  | Gaussian -> Util.Rng.gaussian rng ~mu ~sigma
+  | Uniform ->
+      let half_width = sigma *. sqrt 3. in
+      Util.Rng.uniform rng ~lo:(mu -. half_width) ~hi:(mu +. half_width)
+  | Shifted_exponential ->
+      let u = Util.Rng.float rng in
+      let u = if u <= 0. then epsilon_float else u in
+      mu -. sigma -. (sigma *. log u) (* Exp(rate 1/sigma) has mean = sd = sigma *)
+  | Two_point -> if Util.Rng.float rng < 0.5 then mu -. sigma else mu +. sigma
 
 (* ---- instrumentation ------------------------------------------------------- *)
 
@@ -27,7 +41,7 @@ let for_level pool n body =
         body i
       done
 
-let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
+let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(shape = Gaussian)
     ?(pi_arrival = fun _ -> 0.) ?(varmodel = Varmodel.independent) ~model net
     ~sizes ~n =
   if n <= 0 then invalid_arg "Mcsta.sample: n must be positive";
@@ -66,7 +80,10 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
         mu
     | None -> Dsta.delays net ~sizes
   in
-  let sigma_t = Array.init ng (fun g -> Sigma_model.sigma model mu_t.(g)) in
+  let sigma_t = Array.create_float ng in
+  for g = 0 to ng - 1 do
+    sigma_t.(g) <- Sigma_model.sigma model mu_t.(g)
+  done;
   (* One private stream per gate: sample k of gate g depends only on
      (seed, g, k), never on the batch boundaries or the schedule. *)
   let streams = Array.init ng (fun g -> Util.Rng.keyed seed ~key:g) in
@@ -75,17 +92,40 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
   (* Flat row-major arrival buffer: new id i's sample k lives at i*b + k. *)
   let arrival = Array.make (ng * b) 0. in
   let completed = ref 0 in
+  (* Row-wise max: [dst.(d + k)] takes the max with node [nd]'s trial-k
+     arrival for [k < bsz], [nd] encoded as in the flat view (a primary
+     input reads its [pi_arrival], once per call).  Folding nodes into a
+     row in a fixed order makes each trial's comparisons those of a
+     per-trial fold, in the same order, so the bits are that fold's. *)
+  let max_into dst d bsz nd =
+    if nd >= 0 then begin
+      let src = (nd * b) - d in
+      for k = d to d + bsz - 1 do
+        let v = arrival.(src + k) in
+        if v > dst.(k) then dst.(k) <- v
+      done
+    end
+    else begin
+      let v = pi_arrival (-nd - 1) in
+      for k = d to d + bsz - 1 do
+        if v > dst.(k) then dst.(k) <- v
+      done
+    end
+  in
+  (* New id [i]'s row starts at [neg_infinity] (or [0.] for a gate
+     without fanins) and folds in its fanins' rows in CSR order. *)
+  let fanin_max i ~base bsz =
+    let f0 = fi_off.(i) and f1 = fi_off.(i + 1) in
+    Array.fill arrival base bsz (if f1 > f0 then neg_infinity else 0.);
+    for j = f0 to f1 - 1 do
+      max_into arrival base bsz fi_node.(j)
+    done
+  in
   (* Primary-output reduction: serial, fixed order. *)
   let reduce_pos bsz =
-    for k = 0 to bsz - 1 do
-      let t =
-        Array.fold_left
-          (fun acc nd ->
-            let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
-            if v > acc then v else acc)
-          neg_infinity po_node
-      in
-      out.(!completed + k) <- t
+    Array.fill out !completed bsz neg_infinity;
+    for j = 0 to Array.length po_node - 1 do
+      max_into out !completed bsz po_node.(j)
     done
   in
   (* [body i] for every new id [i] of each level, a level at a time. *)
@@ -103,19 +143,10 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
           let id = inv.(i) in
           let rng = streams.(id) in
           let mu = mu_t.(id) and sigma = sigma_t.(id) in
-          let f0 = fi_off.(i) and f1 = fi_off.(i + 1) in
           let base = i * b in
-          for k = 0 to bsz - 1 do
-            let u = ref 0. in
-            if f1 > f0 then begin
-              u := neg_infinity;
-              for j = f0 to f1 - 1 do
-                let nd = fi_node.(j) in
-                let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
-                if v > !u then u := v
-              done
-            end;
-            arrival.(base + k) <- !u +. draw rng ~mu ~sigma
+          fanin_max i ~base bsz;
+          for k = base to base + bsz - 1 do
+            arrival.(k) <- arrival.(k) +. draw_shape rng shape ~mu ~sigma
           done);
       reduce_pos bsz;
       completed := !completed + bsz
@@ -128,13 +159,13 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
 
          mu_t + sigma_t (w_g DX_glob(k) + w_c DX_cell(k)) + private
 
-       with [private = draw rng ~mu:0 ~sigma:(w_r sigma_t)] from the
-       gate's own stream — so the per-trial delay marginal matches the
-       independent mode's exactly (same total variance under the default
-       Gaussian draw); only the cross-gate correlation changes.  Each
-       stream emits exactly one value per trial, in trial order, so
-       samples depend only on (seed, stream, k): bit-identical across
-       batch sizes and pool domains.  The shared draws are replicated
+       with [private = draw_shape rng shape ~mu:0 ~sigma:(w_r sigma_t)]
+       from the gate's own stream — so the per-trial delay marginal
+       matches the independent mode's exactly (same total variance under
+       the default Gaussian shape); only the cross-gate correlation
+       changes.  Each stream emits exactly one value per trial, in trial
+       order, so samples depend only on (seed, stream, k): bit-identical
+       across batch sizes and pool domains.  The shared draws are replicated
        per batch serially (parameter i's trial-k draw at [i*b + k]). *)
     let p = Varmodel.n_params varmodel in
     (* Old-id order, like the streams and the moments. *)
@@ -159,23 +190,15 @@ let sample ?pool ?arena ?(batch = 1024) ?(seed = 1) ?(draw = gaussian_draw)
           let mu = mu_t.(id) and sigma = sigma_t.(id) in
           let sigma_r = wr *. sigma in
           let cell = cells.(id) in
-          let f0 = fi_off.(i) and f1 = fi_off.(i + 1) in
           let base = i * b in
+          fanin_max i ~base bsz;
           for k = 0 to bsz - 1 do
-            let u = ref 0. in
-            if f1 > f0 then begin
-              u := neg_infinity;
-              for j = f0 to f1 - 1 do
-                let nd = fi_node.(j) in
-                let v = if nd >= 0 then arrival.((nd * b) + k) else pi_arrival (-nd - 1) in
-                if v > !u then u := v
-              done
-            end;
             let shared =
               (wg *. dx.(k)) +. if cell > 0 then wc *. dx.((cell * b) + k) else 0.
             in
             arrival.(base + k) <-
-              !u +. mu +. (sigma *. shared) +. draw rng ~mu:0. ~sigma:sigma_r
+              arrival.(base + k) +. mu +. (sigma *. shared)
+              +. draw_shape rng shape ~mu:0. ~sigma:sigma_r
           done);
       reduce_pos bsz;
       completed := !completed + bsz

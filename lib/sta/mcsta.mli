@@ -27,22 +27,25 @@
     [mc.batches], [mc.parallel_levels], [mc.serial_levels]; timer
     [mc.sample]. *)
 
-type draw = Util.Rng.t -> mu:float -> sigma:float -> float
-(** A per-gate delay sampler.  The default draws from the model's own
-    normal assumption; {!Yield.draw_shape} supplies the moment-matched
-    non-normal families of the F-SHAPE experiment.  A draw must be a
-    deterministic function of the generator state for the bit-identity
-    guarantees to hold. *)
+type shape = Gaussian | Uniform | Shifted_exponential | Two_point
+(** The per-gate delay family.  [Gaussian] is the model's own
+    assumption; the others are the moment-matched non-normal families
+    of the F-SHAPE experiment (re-exported as {!Yield.delay_shape}):
+    [Uniform] on {m \mu \pm \sigma\sqrt3}, [Shifted_exponential]
+    {m \mu - \sigma + Exp(\sigma)} and [Two_point] {m \mu \pm \sigma}
+    with probability 1/2 each. *)
 
-val gaussian_draw : draw
-(** [Util.Rng.gaussian]: the model's own assumption. *)
+val draw_shape : Util.Rng.t -> shape -> mu:float -> sigma:float -> float
+(** One draw from the given family with the given first two moments: a
+    deterministic function of the generator state.  Inlined into the
+    sampling loops, so no draw calls a closure or boxes a float. *)
 
 val sample :
   ?pool:Util.Pool.t ->
   ?arena:Arena.t ->
   ?batch:int ->
   ?seed:int ->
-  ?draw:draw ->
+  ?shape:shape ->
   ?pi_arrival:(int -> float) ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
@@ -52,14 +55,15 @@ val sample :
   float array
 (** [sample ~model net ~sizes ~n] is [n] independent realizations of the
     circuit delay {m T_{max}}, in sample order.  Each realization draws
-    every gate delay from [draw] (default {!gaussian_draw}) with the
+    every gate delay from the family [shape] (default [Gaussian]) with the
     sizable-cell mean and the {!Circuit.Sigma_model} standard deviation
     at the given [sizes], and propagates worst-case arrivals exactly.
 
     [batch] (default 1024) bounds the working set: arrivals are kept in a
     flat [n_gates * batch] float array reused across batches.  [seed]
     (default 1) selects the keyed stream family.  [pi_arrival] gives each
-    primary input a deterministic arrival time (default [0.]).  [pool]
+    primary input a deterministic arrival time (default [0.]); it is read
+    once per fanin edge per batch, so it must be a pure function.  [pool]
     distributes the per-level gate rows over its domains; see the
     determinism contract above.
 
@@ -73,9 +77,10 @@ val sample :
     variation source from the keyed streams [ng + i] (disjoint from the
     gate streams), and gate [g]'s delay becomes
     {m \mu_t + \sigma_t (w_g \Delta X_{glob} + w_c \Delta X_{cell})}
-    plus a private [draw] at standard deviation {m w_r \sigma_t} — the
-    per-gate marginal keeps the independent mode's total variance under
-    the default Gaussian draw, only cross-gate correlation changes.
+    plus a private [shape] draw at standard deviation {m w_r \sigma_t} —
+    the per-gate marginal keeps the independent mode's total variance
+    under the default Gaussian shape, only cross-gate correlation
+    changes.
     The determinism contract above extends to the shared draws (one per
     trial per source, consumed in trial order), so correlated samples
     are likewise bit-identical across [batch] sizes and pool widths.

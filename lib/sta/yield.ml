@@ -3,21 +3,13 @@ open Statdelay
 
 let analytic circuit ~deadline = Normal.cdf_at circuit deadline
 
-type delay_shape = Gaussian | Uniform | Shifted_exponential | Two_point
+type delay_shape = Mcsta.shape =
+  | Gaussian
+  | Uniform
+  | Shifted_exponential
+  | Two_point
 
-(* Draw from the given family with mean [mu] and standard deviation
-   [sigma] (all four families are moment-matched). *)
-let draw_shape rng shape ~mu ~sigma =
-  match shape with
-  | Gaussian -> Util.Rng.gaussian rng ~mu ~sigma
-  | Uniform ->
-      let half_width = sigma *. sqrt 3. in
-      Util.Rng.uniform rng ~lo:(mu -. half_width) ~hi:(mu +. half_width)
-  | Shifted_exponential ->
-      let u = Util.Rng.float rng in
-      let u = if u <= 0. then epsilon_float else u in
-      mu -. sigma -. (sigma *. log u) (* Exp(rate 1/sigma) has mean = sd = sigma *)
-  | Two_point -> if Util.Rng.float rng < 0.5 then mu -. sigma else mu +. sigma
+let draw_shape = Mcsta.draw_shape
 
 let sample_circuit_delays ?rng ?(shape = Gaussian) ?arena ~model net ~sizes ~n =
   let rng = match rng with Some r -> r | None -> Util.Rng.create 7 in

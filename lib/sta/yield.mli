@@ -11,7 +11,7 @@ val analytic : Statdelay.Normal.t -> deadline:float -> float
 (** [analytic circuit ~deadline] is {m P(T_{max} \le deadline)} under the
     normal approximation. *)
 
-type delay_shape =
+type delay_shape = Mcsta.shape =
   | Gaussian  (** the model's own assumption *)
   | Uniform  (** uniform on {m \mu \pm \sigma\sqrt3} *)
   | Shifted_exponential
@@ -20,12 +20,14 @@ type delay_shape =
 (** Alternative gate-delay distributions with the same mean and variance.
     Section 3 of the paper (citing [1]) claims the element distribution's
     shape is almost irrelevant to the circuit-level delay distribution;
-    sampling with these families tests that claim (experiment F-SHAPE). *)
+    sampling with these families tests that claim (experiment F-SHAPE).
+    The type is {!Mcsta.shape}, re-exported, so the batched engine's
+    [?shape] takes these constructors directly. *)
 
 val draw_shape : Util.Rng.t -> delay_shape -> mu:float -> sigma:float -> float
 (** One draw from the given family with the given first two moments —
-    the per-gate sampler behind {!sample_circuit_delays}, exposed so the
-    batched engine ({!Mcsta}) can run the same shape experiment. *)
+    the per-gate sampler behind {!sample_circuit_delays} and
+    {!Mcsta.sample} ({!Mcsta.draw_shape}). *)
 
 val sample_circuit_delays :
   ?rng:Util.Rng.t ->

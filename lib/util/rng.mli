@@ -2,10 +2,22 @@
 
     A self-contained xoshiro256++ generator seeded through splitmix64, so
     that Monte Carlo experiments are reproducible across runs and machines
-    independently of the OCaml [Random] module's internals. *)
+    independently of the OCaml [Random] module's internals.
+
+    {2 Representation and cost}
+
+    A generator is one unboxed 48-byte block: the four 64-bit xoshiro
+    words, the polar method's cached second output and its pending flag.
+    {!uint64}, {!float}, {!uniform}, {!normal} and {!gaussian} are
+    inlined where the compiler can inline across modules (release
+    builds), and then allocate nothing: the state words and the floats
+    stay in registers.  {!create} and {!keyed} allocate the block and
+    nothing else.  The output sequences, the polar method's rejections
+    and its spare are bit-identical to the earlier record-of-[Int64]
+    implementation (pinned by hex goldens in the test suite). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state (abstract; see above). *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed; the state is
@@ -27,7 +39,8 @@ val keyed : int -> key:int -> t
     results are independent of batch size and domain count. *)
 
 val copy : t -> t
-(** [copy t] is an independent clone of the current state. *)
+(** [copy t] is an independent clone of the current state, including a
+    pending polar-method spare. *)
 
 val uint64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -42,7 +55,8 @@ val int : t -> int -> int
 (** [int t n] is uniform on [[0, n)]; requires [n > 0]. *)
 
 val normal : t -> float
-(** Standard normal draw (Marsaglia polar method). *)
+(** Standard normal draw (Marsaglia polar method): every other call
+    returns the spare of the previous pair. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal draw with the given mean and standard deviation. *)
