@@ -22,14 +22,13 @@ let total_arrival (r : Sta.Dsta.result) = Util.Numerics.sum r.Sta.Dsta.arrival
 (* One greedy move: among the critical-path gates, apply the size bump that
    gives the best (delay, total-arrival) decrease per unit of added area.
    Returns None when no bump improves either metric. *)
-let best_move ~options net sizes current_delay current_total =
+let best_move ~options net ~max_sizes sizes current_delay current_total =
   let path = Sta.Dsta.critical_path net ~sizes in
   let best = ref None in
   List.iter
     (fun g ->
-      let cell = (Netlist.gate net g).Netlist.cell in
       let old_size = sizes.(g) in
-      let proposal = min (old_size *. options.bump) cell.Cell.max_size in
+      let proposal = min (old_size *. options.bump) max_sizes.(g) in
       if proposal > old_size +. 1e-9 then begin
         sizes.(g) <- proposal;
         let r = Sta.Dsta.analyze net ~sizes in
@@ -40,9 +39,10 @@ let best_move ~options net sizes current_delay current_total =
           || (d <= current_delay +. 1e-12 && total < current_total -. 1e-12)
         in
         if improves then begin
+          let area = (Netlist.gate net g).Netlist.cell.Cell.area in
           let gain =
             ((current_delay -. d) +. (1e-3 *. (current_total -. total)))
-            /. (cell.Cell.area *. (proposal -. old_size))
+            /. (area *. (proposal -. old_size))
           in
           match !best with
           | Some (_, _, _, _, best_gain) when best_gain >= gain -> ()
@@ -59,8 +59,9 @@ let run ~options ~stop net =
   let total = ref (total_arrival r0) in
   let moves = ref 0 in
   let finished = ref (stop !delay) in
+  let max_sizes = Netlist.max_sizes net in
   while (not !finished) && !moves < options.max_moves do
-    match best_move ~options net sizes !delay !total with
+    match best_move ~options net ~max_sizes sizes !delay !total with
     | None -> finished := true
     | Some (g, proposal, d, t, _) ->
         sizes.(g) <- proposal;

@@ -97,35 +97,35 @@ let slack net ~sizes ~deadline =
   let req = required net ~gate_delay ~deadline in
   Array.mapi (fun i r -> r -. arrival.(i)) req
 
+(* Off the flat columns like [propagate_into], so a CSR-loaded netlist
+   keeps its record view unbuilt: the start is the first primary-output
+   gate in PO order with the latest arrival, and each step back takes
+   the first gate fanin, in [gate.fanin] order, whose arrival is within
+   1e-9 of the gate's start time. *)
 let critical_path net ~sizes =
   let { arrival; gate_delay; _ } = analyze net ~sizes in
-  let node_arrival = function
-    | Netlist.Pi _ -> 0.
-    | Netlist.Gate g -> arrival.(g)
-  in
-  (* Start at the latest PO gate, walk back through the latest fanin. *)
-  let last =
-    Array.fold_left
-      (fun acc po ->
-        match (acc, po) with
-        | None, Netlist.Gate g -> Some g
-        | Some best, Netlist.Gate g -> if arrival.(g) > arrival.(best) then Some g else acc
-        | _, Netlist.Pi _ -> acc)
-      None (Netlist.pos net)
+  let fl = Netlist.flat net in
+  let inv = fl.Netlist.inv_perm and perm = fl.Netlist.perm in
+  let fi_off = fl.Netlist.fi_off and fi_node = fl.Netlist.fi_node in
+  let last = ref (-1) in
+  Array.iter
+    (fun e ->
+      if e >= 0 then begin
+        let g = inv.(e) in
+        if !last < 0 || arrival.(g) > arrival.(!last) then last := g
+      end)
+    fl.Netlist.po_node;
+  let rec pred u j stop =
+    if j = stop then -1
+    else
+      let e = fi_node.(j) in
+      if e >= 0 && abs_float (arrival.(inv.(e)) -. u) < 1e-9 then inv.(e)
+      else pred u (j + 1) stop
   in
   let rec walk acc g =
-    let gate = Netlist.gate net g in
-    let u = arrival.(g) -. gate_delay.(g) in
-    let pred =
-      Array.fold_left
-        (fun acc fan ->
-          match fan with
-          | Netlist.Gate src
-            when acc = None && abs_float (node_arrival fan -. u) < 1e-9 ->
-              Some src
-          | Netlist.Gate _ | Netlist.Pi _ -> acc)
-        None gate.Netlist.fanin
-    in
-    match pred with None -> g :: acc | Some src -> walk (g :: acc) src
+    let i = perm.(g) in
+    match pred (arrival.(g) -. gate_delay.(g)) fi_off.(i) fi_off.(i + 1) with
+    | -1 -> g :: acc
+    | src -> walk (g :: acc) src
   in
-  match last with None -> [] | Some g -> walk [] g
+  if !last < 0 then [] else walk [] !last

@@ -184,10 +184,12 @@ let counters t =
     partials_reused = t.st.s_partials_reused;
   }
 
+(* Cache hits re-evaluate nothing (every gradient call analyzes its own
+   point first), so they are left out of the denominator. *)
 let dirty_fraction t =
-  if t.st.s_analyzes = 0 || t.n = 0 then 0.
-  else
-    float_of_int t.st.s_reeval /. (float_of_int t.st.s_analyzes *. float_of_int t.n)
+  let evaluated = t.st.s_analyzes - t.st.s_cache_hits in
+  if evaluated = 0 || t.n = 0 then 0.
+  else float_of_int t.st.s_reeval /. (float_of_int evaluated *. float_of_int t.n)
 
 let invalidate t = t.f_valid <- false
 

@@ -153,6 +153,9 @@ val counters : t -> counters
     aggregate the same quantities across engines). *)
 
 val dirty_fraction : t -> float
-(** [gates_reevaluated / (analyzes * n_gates)] — the mean fraction of
-    the circuit re-evaluated per analyze; [1.0] means caching never
-    engaged, full sweeps on every call. *)
+(** [gates_reevaluated / ((analyzes - cache_hits) * n_gates)] — the mean
+    fraction of the circuit re-evaluated per analyze that changed sizes;
+    [1.0] means the dirty cone never engaged, a full sweep on every size
+    change.  Cache hits (including the analyze each {!gradient_into}
+    runs at its point) re-evaluate nothing and are not counted; [0.]
+    before any size-changing analyze. *)

@@ -190,6 +190,85 @@ let test_dsta_flat_walk () =
     ~circuit:r.Sta.Dsta.circuit
     ~req:(Sta.Dsta.required dag ~gate_delay ~deadline)
 
+(* The record walk [Dsta.critical_path] used to make: the first PO gate
+   with the latest arrival, then back through the first gate fanin
+   whose arrival is within 1e-9 of the gate's start time. *)
+let record_critical_path net ~sizes =
+  let r = Sta.Dsta.analyze net ~sizes in
+  let arrival = r.Sta.Dsta.arrival and gate_delay = r.Sta.Dsta.gate_delay in
+  let last =
+    Array.fold_left
+      (fun acc po ->
+        match (acc, po) with
+        | None, Netlist.Gate g -> Some g
+        | Some best, Netlist.Gate g -> if arrival.(g) > arrival.(best) then Some g else acc
+        | _, Netlist.Pi _ -> acc)
+      None (Netlist.pos net)
+  in
+  let rec walk acc g =
+    let u = arrival.(g) -. gate_delay.(g) in
+    let pred =
+      Array.fold_left
+        (fun acc fan ->
+          match fan with
+          | Netlist.Gate src when acc = None && abs_float (arrival.(src) -. u) < 1e-9 ->
+              Some src
+          | Netlist.Gate _ | Netlist.Pi _ -> acc)
+        None (Netlist.gate net g).Netlist.fanin
+    in
+    match pred with None -> g :: acc | Some src -> walk (g :: acc) src
+  in
+  match last with None -> [] | Some g -> walk [] g
+
+let load_bench text =
+  match Bench_format.parse_string ~library:(Cell.Library.default ()) text with
+  | Ok n -> n
+  | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Bench_format.pp_error e)
+
+let digest a =
+  Array.fold_left
+    (fun h x -> Int64.add (Int64.mul h 0x100000001B3L) (bits x))
+    0xCBF29CE484222325L a
+
+(* The critical path reads the flat columns: on a fresh .bench load the
+   first call allocates no more than the second (the record view is
+   never built), and the path is the record walk's.  The greedy
+   baseline, which walks it every move, sizes Int64-identically to the
+   goldens captured from the record walk. *)
+let test_dsta_critical_path_bench () =
+  let net = load_bench (mixed_bench_text 5_000) in
+  let n = float_of_int (Netlist.n_gates net) in
+  let sizes =
+    Array.mapi
+      (fun g m -> Float.min m (1. +. (0.5 *. float_of_int (g mod 4))))
+      (Netlist.max_sizes net)
+  in
+  let first, w_first = allocated_words (fun () -> Sta.Dsta.critical_path net ~sizes) in
+  let second, w_second = allocated_words (fun () -> Sta.Dsta.critical_path net ~sizes) in
+  (* Identical calls differ by a few words per gate at most; building
+     the record view costs about 60. *)
+  if w_first /. n > (w_second /. n) +. 8. then
+    Alcotest.failf "first call allocated %.0f words, second %.0f" w_first w_second;
+  Alcotest.(check (list int)) "repeat" first second;
+  Alcotest.(check (list int)) "record walk" (record_critical_path net ~sizes) first;
+  let dag = Generate.apex1_like () in
+  let sizes = Netlist.max_sizes dag in
+  Alcotest.(check (list int)) "apex1* record walk" (record_critical_path dag ~sizes)
+    (Sta.Dsta.critical_path dag ~sizes);
+  let net = load_bench (mixed_bench_text 300) in
+  let check_sizes name golden (r : Sizing.Baseline.result) =
+    let d = digest r.Sizing.Baseline.sizes in
+    if not (Int64.equal d golden) then
+      Alcotest.failf "%s: sizes digest 0x%016Lx, golden 0x%016Lx" name d golden
+  in
+  let r = Sizing.Baseline.minimize_delay net in
+  check_sizes "minimize_delay" 0x091f9a1cceda158bL r;
+  Alcotest.(check int) "minimize_delay moves" 295 r.Sizing.Baseline.moves;
+  let deadline = 0.8 *. (Sta.Dsta.analyze net ~sizes:(Netlist.min_sizes net)).Sta.Dsta.circuit in
+  let r = Sizing.Baseline.meet_deadline net ~deadline in
+  check_sizes "meet_deadline" 0xe3abc57515154debL r;
+  Alcotest.(check int) "meet_deadline moves" 25 r.Sizing.Baseline.moves
+
 (* ---- Statistical STA --------------------------------------------------------- *)
 
 let test_ssta_chain_no_max () =
@@ -833,6 +912,8 @@ let () =
           Alcotest.test_case "critical path unbalanced" `Quick
             test_dsta_critical_path_unbalanced;
           Alcotest.test_case "flat walk on a .bench load" `Quick test_dsta_flat_walk;
+          Alcotest.test_case "critical path on a .bench load" `Quick
+            test_dsta_critical_path_bench;
         ] );
       ( "ssta",
         [
