@@ -25,6 +25,7 @@ type flat = {
   g_drive : float array;
   g_wire_load : float array;
   g_max_size : float array;
+  g_area : float array;
 }
 
 type t = {
@@ -163,13 +164,6 @@ let load t ~sizes g =
       acc +. (float_of_int mult *. Cell.input_cap c.cell ~size:sizes.(consumer)))
     gate.wire_load (Lazy.force t.fanout_l).(g)
 
-let area t ~sizes =
-  let acc = ref 0. in
-  Array.iter
-    (fun g -> acc := !acc +. (g.cell.Cell.area *. sizes.(g.id)))
-    (Lazy.force t.gates_l);
-  !acc
-
 let min_sizes t = Array.make (n_gates t) 1.
 
 let levels t =
@@ -216,10 +210,11 @@ let level_buckets t =
       b
 
 (* Flat CSR encoding of the topology.  Fanin nodes are encoded as ints:
-   [Gate g] is [g], [Pi i] is [-i - 1].  Fanout entries preserve the
-   order of the [fanout] adjacency lists (fixed at build time), so a
-   fold over a CSR row performs the same floating-point accumulation
-   order as [load]'s list fold.
+   [Gate g] is [g], [Pi i] is [-i - 1].  A fanout row lists one entry
+   per distinct consumer, in descending consumer id: the order of the
+   [fanout] adjacency lists [Builder.build] makes (consumers visited in
+   ascending id and prepended), so a fold over a CSR row performs the
+   same floating-point accumulation order as [load]'s list fold.
 
    The flat view renumbers the gates level-major: new ids are assigned
    level by level, ascending old id within a level, so each level's
@@ -235,13 +230,14 @@ let level_buckets t =
    permutation is monotone inside each level. *)
 let encode_node = function Gate g -> g | Pi i -> -i - 1
 
-(* Build the permuted flat view from old-id CSR columns.  [fo_mult_i] is
-   the integer pin multiplicity; converted to float in the column.
+(* Build the permuted flat view from old-id fanin columns, the old-id
+   cells and wire loads.  The fanout rows are derived from the fanin
+   rows straight into new-id columns, with no old-id fanout copy.
+   Every column is filled by a loop, so no float is boxed on the way.
    Returns the flat view and the old-id level array (levels are
    1-based; PIs sit at level 0). *)
-let build_flat ~n ~n_pos ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o
-    ~fo_off:fo_off_o ~fo_consumer:fo_consumer_o ~fo_mult_i ~fo_cin:fo_cin_o
-    ~g_t_int ~g_drive ~g_wire_load ~g_max_size =
+let build_flat ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o ~cells ~wire_loads =
+  let n = Array.length cells in
   let lvl = Array.make n 0 in
   for g = 0 to n - 1 do
     let m = ref 0 in
@@ -285,25 +281,64 @@ let build_flat ~n ~n_pos ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o
       fi_node.(b + j) <- map_node fi_node_o.(bo + j)
     done
   done;
+  (* Fanout: one entry per distinct (driver, consumer) pair, counted at
+     its first occurrence in the consumer's fanin row (multiplicities
+     folded in).  [fo_off.(d)] first counts row [d], then holds its
+     end; filling by decrement over ascending consumers leaves each row
+     in descending consumer id and [fo_off.(d)] at its start. *)
+  let row_first g j =
+    let s = fi_node_o.(j) in
+    let first = ref true in
+    for k = fi_off_o.(g) to j - 1 do
+      if fi_node_o.(k) = s then first := false
+    done;
+    !first
+  in
   let fo_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    fo_off.(i + 1) <- fo_off.(i) + (fo_off_o.(o + 1) - fo_off_o.(o))
+  for g = 0 to n - 1 do
+    for j = fi_off_o.(g) to fi_off_o.(g + 1) - 1 do
+      let s = fi_node_o.(j) in
+      if s >= 0 && row_first g j then fo_off.(perm.(s)) <- fo_off.(perm.(s)) + 1
+    done
   done;
-  let nfo = fo_off.(n) in
+  for i = 1 to n - 1 do
+    fo_off.(i) <- fo_off.(i) + fo_off.(i - 1)
+  done;
+  let nfo = if n = 0 then 0 else fo_off.(n - 1) in
+  fo_off.(n) <- nfo;
   let fo_consumer = Array.make (max 1 nfo) 0 in
   let fo_mult = Array.make (max 1 nfo) 0. in
   let fo_cin = Array.make (max 1 nfo) 0. in
-  for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    let b = fo_off.(i) and bo = fo_off_o.(o) in
-    for j = 0 to fo_off_o.(o + 1) - bo - 1 do
-      fo_consumer.(b + j) <- perm.(fo_consumer_o.(bo + j));
-      fo_mult.(b + j) <- float_of_int fo_mult_i.(bo + j);
-      fo_cin.(b + j) <- fo_cin_o.(bo + j)
+  for g = 0 to n - 1 do
+    let lo = fi_off_o.(g) and hi = fi_off_o.(g + 1) in
+    for j = lo to hi - 1 do
+      let s = fi_node_o.(j) in
+      if s >= 0 && row_first g j then begin
+        let m = ref 0 in
+        for k = lo to hi - 1 do
+          if fi_node_o.(k) = s then incr m
+        done;
+        let d = perm.(s) in
+        let k = fo_off.(d) - 1 in
+        fo_off.(d) <- k;
+        fo_consumer.(k) <- perm.(g);
+        fo_mult.(k) <- float_of_int !m;
+        fo_cin.(k) <- cells.(g).Cell.c_in
+      end
     done
   done;
-  let gather col = Array.init n (fun i -> col.(inv_perm.(i))) in
+  let g_t_int = Array.create_float n and g_drive = Array.create_float n in
+  let g_wire_load = Array.create_float n and g_max_size = Array.create_float n in
+  let g_area = Array.create_float n in
+  for i = 0 to n - 1 do
+    let o = inv_perm.(i) in
+    let c = cells.(o) in
+    g_t_int.(i) <- c.Cell.t_int;
+    g_drive.(i) <- c.Cell.drive;
+    g_wire_load.(i) <- wire_loads.(o);
+    g_max_size.(i) <- c.Cell.max_size;
+    g_area.(i) <- c.Cell.area
+  done;
   ( {
       perm;
       inv_perm;
@@ -312,62 +347,40 @@ let build_flat ~n ~n_pos ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o
       fi_node;
       po_node = Array.map map_node po_node_o;
       po_base = nfi;
-      fold_slots = nfi + n_pos;
+      fold_slots = nfi + Array.length po_node_o;
       fo_off;
       fo_consumer;
       fo_mult;
       fo_cin;
-      g_t_int = gather g_t_int;
-      g_drive = gather g_drive;
-      g_wire_load = gather g_wire_load;
-      g_max_size = gather g_max_size;
+      g_t_int;
+      g_drive;
+      g_wire_load;
+      g_max_size;
+      g_area;
     },
     lvl )
 
-(* Old-id CSR columns from the record graph, then the shared permuted
-   build.  The fanout columns preserve [fanout]-list order. *)
+(* Old-id fanin columns from the record graph, then the shared permuted
+   build. *)
 let compute_flat t =
   let n = n_gates t in
   let gates = Lazy.force t.gates_l in
-  let fanout = Lazy.force t.fanout_l in
   let fi_off = Array.make (n + 1) 0 in
   Array.iter
     (fun g -> fi_off.(g.id + 1) <- fi_off.(g.id) + Array.length g.fanin)
     gates;
-  let nfi = fi_off.(n) in
-  let fi_node = Array.make (max 1 nfi) 0 in
+  let fi_node = Array.make (max 1 fi_off.(n)) 0 in
   Array.iter
     (fun g ->
       let base = fi_off.(g.id) in
       Array.iteri (fun j nd -> fi_node.(base + j) <- encode_node nd) g.fanin)
     gates;
-  let po_node = Array.map encode_node t.pos in
-  let fo_off = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    fo_off.(g + 1) <- fo_off.(g) + List.length fanout.(g)
-  done;
-  let nfo = fo_off.(n) in
-  let fo_consumer = Array.make (max 1 nfo) 0 in
-  let fo_mult_i = Array.make (max 1 nfo) 0 in
-  let fo_cin = Array.make (max 1 nfo) 0. in
-  Array.iteri
-    (fun g l ->
-      let j = ref fo_off.(g) in
-      List.iter
-        (fun (consumer, mult) ->
-          fo_consumer.(!j) <- consumer;
-          fo_mult_i.(!j) <- mult;
-          fo_cin.(!j) <- gates.(consumer).cell.Cell.c_in;
-          incr j)
-        l)
-    fanout;
+  let wire_loads = Array.create_float n in
+  Array.iter (fun g -> wire_loads.(g.id) <- g.wire_load) gates;
   fst
-    (build_flat ~n ~n_pos:(Array.length t.pos) ~fi_off ~fi_node ~po_node ~fo_off
-       ~fo_consumer ~fo_mult_i ~fo_cin
-       ~g_t_int:(Array.map (fun g -> g.cell.Cell.t_int) gates)
-       ~g_drive:(Array.map (fun g -> g.cell.Cell.drive) gates)
-       ~g_wire_load:(Array.map (fun g -> g.wire_load) gates)
-       ~g_max_size:(Array.map (fun g -> g.cell.Cell.max_size) gates))
+    (build_flat ~fi_off ~fi_node ~po_node:(Array.map encode_node t.pos)
+       ~cells:(Array.map (fun g -> g.cell) gates)
+       ~wire_loads)
 
 let flat t =
   match t.flat_cache with
@@ -376,6 +389,16 @@ let flat t =
       let f = compute_flat t in
       t.flat_cache <- Some f;
       f
+
+(* In old-id order, as a fold over the record view would sum. *)
+let area t ~sizes =
+  let fl = flat t in
+  let g_area = fl.g_area and perm = fl.perm in
+  let acc = ref 0. in
+  for id = 0 to t.n_g - 1 do
+    acc := !acc +. (g_area.(perm.(id)) *. sizes.(id))
+  done;
+  !acc
 
 (* Size bounds straight from the flat columns, so a CSR-loaded netlist
    never materialises its record view to be validated.  Gates are
@@ -410,17 +433,14 @@ let check_sizes t (sizes : float array) =
 
    [of_csr] builds a netlist directly from old-id CSR columns — the
    entry point for loaders (Bench_format) that never build a record
-   graph.  The permuted flat view and the level buckets are
-   computed here, straight from the columns, and pre-seeded into the
-   caches; the record planes ([gates] / [fanout]) are reconstructed
-   lazily from the retained columns only if a record-level accessor is
-   called.  The fanout rows are materialised in descending-consumer-id
-   order with per-gate pin multiplicities — exactly the adjacency lists
-   [Builder.build] produces (consumers are visited in ascending id and
-   prepended), so [flat] and [load] folds accumulate in the same
-   floating-point order as a record-built netlist. *)
-let decode_node e = if e >= 0 then Gate e else Pi (-e - 1)
-
+   graph.  The permuted flat view and the level buckets are computed
+   here, straight from the columns, and pre-seeded into the caches; the
+   record planes ([gates] / [fanout]) are reconstructed lazily from the
+   flat view and the old-id cells only if a record-level accessor is
+   called.  A flat fanout row is in descending consumer id with its pin
+   multiplicities, exactly the adjacency list [Builder.build] produces,
+   so [flat] and [load] folds accumulate in the same floating-point
+   order as a record-built netlist. *)
 let of_csr ?(name = "csr") ~pi_names ~cells ~wire_loads ~fi_off ~fi_node ~pos
     ~po_names () =
   let n = Array.length cells in
@@ -448,57 +468,10 @@ let of_csr ?(name = "csr") ~pi_names ~cells ~wire_loads ~fi_off ~fi_node ~pos
       | Pi i when i >= 0 && i < n_pi -> ()
       | _ -> invalid_arg "Netlist.of_csr: primary output node does not exist")
     pos;
-  (* Fanout columns: one entry per distinct (driver, consumer) pair,
-     rows in descending consumer id.  Within a fanin row, an entry is
-     counted once at its first occurrence (multiplicities folded in). *)
-  let fo_cnt = Array.make (max 1 n) 0 in
-  let row_first g j =
-    let s = fi_node.(j) in
-    let first = ref true in
-    for k = fi_off.(g) to j - 1 do
-      if fi_node.(k) = s then first := false
-    done;
-    !first
-  in
-  for g = 0 to n - 1 do
-    for j = fi_off.(g) to fi_off.(g + 1) - 1 do
-      if fi_node.(j) >= 0 && row_first g j then
-        fo_cnt.(fi_node.(j)) <- fo_cnt.(fi_node.(j)) + 1
-    done
-  done;
-  let fo_off = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    fo_off.(g + 1) <- fo_off.(g) + fo_cnt.(g)
-  done;
-  let nfo = fo_off.(n) in
-  let fo_consumer = Array.make (max 1 nfo) 0 in
-  let fo_mult_i = Array.make (max 1 nfo) 0 in
-  let fo_cin = Array.make (max 1 nfo) 0. in
-  let fill = Array.sub fo_off 0 (max 1 n) in
-  for g = n - 1 downto 0 do
-    for j = fi_off.(g) to fi_off.(g + 1) - 1 do
-      let s = fi_node.(j) in
-      if s >= 0 && row_first g j then begin
-        let m = ref 0 in
-        for k = fi_off.(g) to fi_off.(g + 1) - 1 do
-          if fi_node.(k) = s then incr m
-        done;
-        fo_consumer.(fill.(s)) <- g;
-        fo_mult_i.(fill.(s)) <- !m;
-        fo_cin.(fill.(s)) <- cells.(g).Cell.c_in;
-        fill.(s) <- fill.(s) + 1
-      end
-    done
-  done;
-  let po_node = Array.map encode_node pos in
   let fl, lvl =
-    build_flat ~n ~n_pos:(Array.length pos) ~fi_off ~fi_node ~po_node ~fo_off
-      ~fo_consumer ~fo_mult_i ~fo_cin
-      ~g_t_int:(Array.map (fun c -> c.Cell.t_int) cells)
-      ~g_drive:(Array.map (fun c -> c.Cell.drive) cells)
-      ~g_wire_load:wire_loads
-      ~g_max_size:(Array.map (fun c -> c.Cell.max_size) cells)
+    build_flat ~fi_off ~fi_node ~po_node:(Array.map encode_node pos) ~cells ~wire_loads
   in
+  let old_node e = if e >= 0 then Gate fl.inv_perm.(e) else Pi (-e - 1) in
   {
     name;
     pis = pi_names;
@@ -506,23 +479,24 @@ let of_csr ?(name = "csr") ~pi_names ~cells ~wire_loads ~fi_off ~fi_node ~pos
     gates_l =
       lazy
         (Array.init n (fun g ->
-             let b = fi_off.(g) in
+             let i = fl.perm.(g) in
+             let b = fl.fi_off.(i) in
              {
                id = g;
                gate_name = Printf.sprintf "g%d" g;
                cell = cells.(g);
-               fanin =
-                 Array.init (fi_off.(g + 1) - b) (fun j ->
-                     decode_node fi_node.(b + j));
-               wire_load = wire_loads.(g);
+               fanin = Array.init (fl.fi_off.(i + 1) - b) (fun j -> old_node fl.fi_node.(b + j));
+               wire_load = fl.g_wire_load.(i);
              }));
     pos;
     po_names;
     fanout_l =
       lazy
         (Array.init n (fun s ->
-             List.init (fo_off.(s + 1) - fo_off.(s)) (fun j ->
-                 (fo_consumer.(fo_off.(s) + j), fo_mult_i.(fo_off.(s) + j)))));
+             let i = fl.perm.(s) in
+             List.init (fl.fo_off.(i + 1) - fl.fo_off.(i)) (fun j ->
+                 let k = fl.fo_off.(i) + j in
+                 (fl.inv_perm.(fl.fo_consumer.(k)), int_of_float fl.fo_mult.(k)))));
     bucket_cache = Some (buckets_of_levels lvl);
     flat_cache = Some fl;
   }

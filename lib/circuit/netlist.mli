@@ -70,7 +70,9 @@ val load : t -> sizes:float array -> int -> float
 
 val area : t -> sizes:float array -> float
 (** {m \sum_i area_i \cdot S_i}; with unit cell areas this is the paper's
-    {m \sum S_i} metric. *)
+    {m \sum S_i} metric.  Reads the {!flat} [g_area] column and sums in
+    gate-id order, so it allocates nothing per gate and a CSR-built
+    netlist keeps its record view unbuilt. *)
 
 val min_sizes : t -> float array
 (** All-ones vector (every speed factor at its lower bound). *)
@@ -153,6 +155,7 @@ type flat = {
   g_drive : float array;  (** per-gate cell drive resistance, new-id order *)
   g_wire_load : float array;  (** per-gate output wire capacitance, new-id *)
   g_max_size : float array;  (** per-gate size upper bound, new-id order *)
+  g_area : float array;  (** per-gate cell area, new-id order *)
 }
 (** Entries of one fanout row appear in {!fanout}-list order (consumer
     ids renamed, order untouched), so a fold over the row accumulates
@@ -168,9 +171,10 @@ val flat : t -> flat
     and the level buckets straight from the columns, and only
     reconstructs the per-gate records / fanout adjacency lists (from
     the retained columns, lazily) if a record-level accessor such as
-    {!gate} or {!fanout} is later called.  Peak construction memory is
-    the columns themselves — a few [int]/[float] words per fanin edge —
-    rather than a record and a list cell per gate. *)
+    {!gate} or {!fanout} is later called.  The fanout rows are derived
+    from the fanin rows straight into the flat view's columns, so the
+    only words a build allocates beyond the flat view itself are a
+    level and a count per gate. *)
 
 val of_csr :
   ?name:string ->

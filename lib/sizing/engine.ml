@@ -169,8 +169,14 @@ let sigma_gradient entry =
   let dvar = Sta.Ssta.k_sigma_dvar ~k:1. ~var:(circuit_var_of entry) in
   Array.map (fun g -> dvar *. g) entry.grad_var
 
+(* The gradient is the cell areas in gate-id order, gathered from the
+   flat column [Netlist.area] sums. *)
 let area_objective net x =
-  let grad = Array.map (fun (g : Netlist.gate) -> g.Netlist.cell.Cell.area) (Netlist.gates net) in
+  let fl = Netlist.flat net in
+  let grad = Array.create_float (Netlist.n_gates net) in
+  for id = 0 to Array.length grad - 1 do
+    grad.(id) <- fl.Netlist.g_area.(fl.Netlist.perm.(id))
+  done;
   (Netlist.area net ~sizes:x, grad)
 
 let build_problem ?pool ?timing ?varmodel ~model net objective =

@@ -85,7 +85,10 @@ type t = {
   fo_c : ivec;  (** fanout-edge column: [fo_consumer] as int32 *)
   pi : vec;  (** primary-input arrival pairs (zero by default) *)
   (* -- reverse state, valid after [reverse] -- *)
-  pp : vec;  (** fold-slot plane x8: Clark partials per fold step *)
+  pp : vec;
+      (** fold-slot plane x8: Clark partials per fold step; only the
+          independent reverse sweep reads it, so a canonical arena
+          ([p > 0]) holds a 1-element stub *)
   adj : vec;  (** arrival adjoint pairs per gate *)
   dmu_t : vec;  (** gate-delay mean adjoint per gate *)
   active : Bytes.t;  (** ['\001'] iff gate has a non-zero arrival adjoint *)
@@ -184,7 +187,7 @@ let create ?varmodel net =
     fi_b;
     fo_c;
     pi;
-    pp = make_vec (Clark.partials_width * fs);
+    pp = make_vec (if p = 0 then Clark.partials_width * fs else 0);
     adj = make_vec (2 * n);
     dmu_t = make_vec n;
     active = Bytes.make (max 1 n) '\000';

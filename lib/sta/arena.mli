@@ -62,7 +62,10 @@ type t = {
   pi : vec;
       (** primary-input arrival pairs (zero by default) — a shared
           sub-view of [arr]'s tail section, {e not} a separate plane *)
-  pp : vec;  (** fold-slot plane x8: Clark partials per fold step *)
+  pp : vec;
+      (** fold-slot plane x8: Clark partials per fold step.  Only the
+          independent reverse sweep reads it, so a canonical arena
+          ([n_params > 0]) holds a 1-element stub *)
   adj : vec;  (** arrival adjoint pairs per gate *)
   dmu_t : vec;  (** gate-delay mean adjoint per gate *)
   active : Bytes.t;  (** ['\001'] iff gate has a non-zero arrival adjoint *)
