@@ -20,6 +20,13 @@ type target = {
   pool : Util.Pool.t option;
   mutable sizes : float array;  (** committed speed factors *)
   mutable incr : Sta.Incr.t;  (** warmed dirty-cone engine *)
+  scratch : float array;
+      (** what-if scratch: equal to [scratch_of] between requests; a
+          what-if applies its deltas here and restores them, so it
+          copies nothing n-sized *)
+  mutable scratch_of : float array;
+      (** the [sizes] array [scratch] copies; a what-if re-copies when
+          [sizes] has been replaced since *)
 }
 
 val create :

@@ -88,8 +88,9 @@ type t = {
       (* cached forward state may serve as a delta base; cleared by
          [invalidate] *)
   mutable initialized : bool;
-      (* the planes hold a completed analysis (never cleared: change
-         stamps stay meaningful across invalidations) *)
+      (* the planes hold a completed analysis (kept across
+         invalidations, so change stamps stay meaningful; cleared only
+         by a pass that raised midway) *)
   (* Change tracking.  [version] counts state-changing analyzes;
      [stamp_arrival.(g)] / [stamp_local.(g)] record the last version at
      which gate [g]'s arrival / own delay+load changed value. *)
@@ -102,17 +103,20 @@ type t = {
      every gate-fanin arrival is unchanged since [pc_version.(g)].  Lets
      the second basis-seed gradient at the same point (and any gate whose
      input cone is clean) replay the reverse chain with eight multiplies
-     per operand instead of re-running the Clark operators. *)
-  pc_version : int array;
-  pc_hit : bool array;
+     per operand instead of re-running the Clark operators.  Empty,
+     like the arena's adjoint planes, until the first gradient. *)
+  mutable pc_version : int array;
+  mutable pc_hit : bool array;
   (* PO-fold partials (the [pp] plane's trailing segment), valid for the
      current version only. *)
   mutable po_version : int;
   (* Scratch for one sweep. *)
-  dirty : bool array;
-  changed : bool array;
-  changed_local : bool array;
-  mutable marked : int list;
+  osz : float array;
+      (* old-id copy of the sizes last swept: a delta is a sequential
+         diff against it, and only the changed entries are scattered
+         into the arena's new-id sizes plane *)
+  dirty : Bytes.t;  (* new-id mask of the gates still to re-evaluate *)
+  chg : Bytes.t;  (* per new id: change bits of a pooled re-evaluation *)
   todo : int array;  (* per-level worklist (dirty subset / phase 1) *)
   (* Gradient reuse. *)
   mutable slots : slot list;
@@ -134,13 +138,12 @@ let create ?pool ?varmodel ~model net =
     stamp_arrival = Array.make n 0;
     stamp_local = Array.make n 0;
     stamp_bumps = 0;
-    pc_version = Array.make n (-1);
-    pc_hit = Array.make n false;
+    pc_version = [||];
+    pc_hit = [||];
     po_version = -1;
-    dirty = Array.make n false;
-    changed = Array.make n false;
-    changed_local = Array.make n false;
-    marked = [];
+    osz = Array.make n 0.;
+    dirty = Bytes.make (max 1 n) '\000';
+    chg = Bytes.make (max 1 n) '\000';
     todo = Array.make (max 1 n) 0;
     slots = [];
     use_tick = 0;
@@ -196,7 +199,12 @@ let invalidate t = t.f_valid <- false
 (* ---- forward sweep ---------------------------------------------------------- *)
 
 let bits = Int64.bits_of_float
-let fbits_eq a b = Int64.equal (bits a) (bits b)
+
+(* Bitwise equality of two floats without a C call: equal non-zero
+   values share their bits, and two zeros differ in sign iff their
+   reciprocals do.  A NaN never compares equal, so it always counts as
+   a change — conservative: over-marking only re-evaluates more. *)
+let[@inline] same a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
 
 let pooled_for t n body =
   match t.pool with
@@ -207,217 +215,245 @@ let pooled_for t n body =
         body i
       done
 
-(* Re-evaluate one gate against the engine's current sizes and cached
-   fanin arrivals — the exact operations of Arena.eval_gate (hence of a
-   from-scratch sweep), computed into locals first so the new values can
-   be bit-compared against the cached planes before overwriting them.
-   Pure per-gate slot writes: safe to run on the pool.  Change flags are
-   left in [t.changed] / [t.changed_local] for the caller's serial
-   stamp-and-mark pass.  [id] is a new (level-major) id. *)
-let[@inline] recompute_one t id =
+(* Dirty-mask bytes: bit 0 set when the gate must be re-evaluated (a
+   fanin arrival changed: ['\001'], set by [settle]), and [local_dirty]
+   (bits 0 and 1) when its own size or load may have changed too.  Only
+   a [local_dirty] gate needs its load and delay recomputed: for the
+   others both are functions of unchanged sizes, so the cached moments
+   are the recomputed ones bit for bit and [Arena.eval_fold] alone gives
+   the full kernel's arrival. *)
+let local_dirty = '\003'
+
+(* Change bits reported by [eval_tracked]. *)
+let arrival_changed = 1
+let local_changed = 2
+
+(* Re-evaluate gate [id] (a new id) through the forward sweep's own
+   kernel — the same operations as a from-scratch sweep, by
+   construction — and report what changed against the values it
+   overwrote.  [s0] / [f0] are the staged window's origins
+   (Arena.eval_gate).  Per-gate slot writes only: safe on the pool. *)
+let eval_tracked t s0 f0 id =
+  let a = t.a in
+  let oam = Clark.vget a.Arena.arr (2 * id)
+  and oav = Clark.vget a.Arena.arr ((2 * id) + 1) in
+  let local =
+    if Bytes.unsafe_get t.dirty id <> local_dirty then begin
+      Arena.eval_fold a s0 id;
+      0
+    end
+    else begin
+      let ol = Clark.vget a.Arena.load id
+      and odm = Clark.vget a.Arena.del (2 * id)
+      and odv = Clark.vget a.Arena.del ((2 * id) + 1) in
+      Arena.eval_gate a t.model s0 f0 id;
+      if
+        t.initialized
+        && same ol (Clark.vget a.Arena.load id)
+        && same odm (Clark.vget a.Arena.del (2 * id))
+        && same odv (Clark.vget a.Arena.del ((2 * id) + 1))
+      then 0
+      else local_changed
+    end
+  in
+  if
+    t.initialized
+    && same oam (Clark.vget a.Arena.arr (2 * id))
+    && same oav (Clark.vget a.Arena.arr ((2 * id) + 1))
+  then local
+  else local lor arrival_changed
+
+(* Serial: stamp a re-evaluated gate's changes and mark the consumers
+   of a changed arrival dirty (branch-free: [lor] keeps a
+   [local_dirty] mark).  True when the gate was cut off. *)
+let settle t id changes =
+  if changes land local_changed <> 0 then t.stamp_local.(id) <- t.version;
+  if changes land arrival_changed <> 0 then begin
+    t.stamp_arrival.(id) <- t.version;
+    t.stamp_bumps <- t.stamp_bumps + 1;
+    let fl = t.a.Arena.flat and fo_c = t.a.Arena.fo_c and dirty = t.dirty in
+    for j = fl.Netlist.fo_off.(id) to fl.Netlist.fo_off.(id + 1) - 1 do
+      let c = Int32.to_int (Bigarray.Array1.unsafe_get fo_c j) in
+      Bytes.unsafe_set dirty c
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dirty c) lor 1))
+    done;
+    false
+  end
+  else true
+
+(* Dirty gates of one level further apart than this start a new staging
+   segment: staging a clean gate in between costs its operand gathers,
+   a new segment two more C calls. *)
+let segment_gap = 8
+
+(* Re-evaluate every dirty gate, level by level, clearing the mask as it
+   goes.  Each level's dirty subset is staged and evaluated like a
+   sweep's blocks: serially in segments of nearby dirty gates (at most
+   [Arena.stage_block] ids wide; consumer sizes are staged only for a
+   segment holding a [local_dirty] gate), or on the pool with the
+   level's dirty span staged at once.  Counts the re-evaluated gates;
+   returns the number cut off (re-evaluated to their cached arrival, so
+   their consumers stay clean). *)
+let sweep_dirty t =
   let a = t.a in
   let fl = a.Arena.flat in
-  let sizes = a.Arena.sizes in
-  let acc = ref fl.Netlist.g_wire_load.(id) in
-  for j = fl.Netlist.fo_off.(id) to fl.Netlist.fo_off.(id + 1) - 1 do
-    acc :=
-      !acc
-      +. fl.Netlist.fo_mult.(j)
-         *. (fl.Netlist.fo_cin.(j)
-            *. Clark.vget sizes fl.Netlist.fo_consumer.(j))
-  done;
-  let load = !acc in
-  let s = Clark.vget sizes id in
-  if s < 1. then invalid_arg "Cell.delay: size below 1";
-  let mu_t = fl.Netlist.g_t_int.(id) +. (fl.Netlist.g_drive.(id) *. load /. s) in
-  let var_t = Sigma_model.var t.model mu_t in
-  let var_t =
-    if var_t < 0. then
-      if var_t > -1e-12 then 0.
-      else invalid_arg "Normal.of_var: negative variance"
-    else var_t
-  in
-  let base = fl.Netlist.fi_off.(id) in
-  let k = fl.Netlist.fi_off.(id + 1) - base in
-  let e0 = fl.Netlist.fi_node.(base) in
-  let b0 = if e0 >= 0 then 2 * e0 else (-2 * e0) - 2 in
-  let src0 = if e0 >= 0 then a.Arena.arr else a.Arena.pi in
-  Clark.vset a.Arena.pre (2 * base) (Clark.vget src0 b0);
-  Clark.vset a.Arena.pre ((2 * base) + 1) (Clark.vget src0 (b0 + 1));
-  for j = 1 to k - 1 do
-    let e = fl.Netlist.fi_node.(base + j) in
-    let b = if e >= 0 then 2 * e else (-2 * e) - 2 in
-    let src = if e >= 0 then a.Arena.arr else a.Arena.pi in
-    Clark.max2_into
-      ~mu_a:(Clark.vget a.Arena.pre (2 * (base + j) - 2))
-      ~var_a:(Clark.vget a.Arena.pre (2 * (base + j) - 1))
-      ~mu_b:(Clark.vget src b)
-      ~var_b:(Clark.vget src (b + 1))
-      a.Arena.pre (base + j)
-  done;
-  let arr_mu = Clark.vget a.Arena.pre (2 * (base + k) - 2) +. mu_t in
-  let arr_var = Clark.vget a.Arena.pre (2 * (base + k) - 1) +. var_t in
-  let old_mu = Clark.vget a.Arena.arr (2 * id)
-  and old_var = Clark.vget a.Arena.arr ((2 * id) + 1) in
-  let changed =
-    (not t.initialized)
-    || not (fbits_eq arr_mu old_mu && fbits_eq arr_var old_var)
-  in
-  let changed_local =
-    (not t.initialized)
-    || (not (fbits_eq load (Clark.vget a.Arena.load id)))
-    || (not (fbits_eq mu_t (Clark.vget a.Arena.del (2 * id))))
-    || not (fbits_eq var_t (Clark.vget a.Arena.del ((2 * id) + 1)))
-  in
-  Clark.vset a.Arena.load id load;
-  Clark.vset a.Arena.del (2 * id) mu_t;
-  Clark.vset a.Arena.del ((2 * id) + 1) var_t;
-  Clark.vset a.Arena.arr (2 * id) arr_mu;
-  Clark.vset a.Arena.arr ((2 * id) + 1) arr_var;
-  t.changed.(id) <- changed;
-  t.changed_local.(id) <- changed_local
-
-(* One whole level: the contiguous new-id range [lo, hi). *)
-let recompute_range t lo hi =
-  pooled_for t (hi - lo) (fun i -> recompute_one t (lo + i))
-
-(* A level's dirty subset, [ids.(0 .. k - 1)]. *)
-let recompute_ids t (ids : int array) k =
-  pooled_for t k (fun i -> recompute_one t ids.(i))
-
-let refold_pos t = Arena.fold_pos t.a
-
-(* Gather the caller's old-id sizes into the arena's new-id plane. *)
-let gather_sizes t (sizes : float array) =
-  let inv = t.a.Arena.flat.Netlist.inv_perm in
-  for i = 0 to t.n - 1 do
-    Clark.vset t.a.Arena.sizes i (Array.unsafe_get sizes (Array.unsafe_get inv i))
-  done
-
-let full_sweep t ~sizes =
-  t.version <- t.version + 1;
-  gather_sizes t sizes;
-  let lvl_off = t.a.Arena.flat.Netlist.lvl_off in
-  for l = 0 to Array.length lvl_off - 2 do
-    recompute_range t lvl_off.(l) lvl_off.(l + 1)
-  done;
-  for id = 0 to t.n - 1 do
-    if t.changed.(id) then begin
-      t.stamp_arrival.(id) <- t.version;
-      t.stamp_bumps <- t.stamp_bumps + 1
-    end;
-    if t.changed_local.(id) then t.stamp_local.(id) <- t.version
-  done;
-  refold_pos t;
-  t.st.s_full_sweeps <- t.st.s_full_sweeps + 1;
-  t.st.s_reeval <- t.st.s_reeval + t.n;
-  Util.Instr.incr c_full_sweep;
-  Util.Instr.add c_reeval t.n
-
-let mark t id =
-  if not t.dirty.(id) then begin
-    t.dirty.(id) <- true;
-    t.marked <- id :: t.marked
-  end
-
-let incremental_sweep t ~sizes changed_ids =
-  t.version <- t.version + 1;
-  (* Seed the dirty set: the changed gates themselves, plus every gate
-     fanin of a changed gate — the driver's load (hence delay and
-     arrival) depends on the consumer's size. *)
-  let fl = t.a.Arena.flat in
-  List.iter
-    (fun id ->
-      mark t id;
-      for j = fl.Netlist.fi_off.(id) to fl.Netlist.fi_off.(id + 1) - 1 do
-        let e = fl.Netlist.fi_node.(j) in
-        if e >= 0 then mark t e
-      done)
-    changed_ids;
-  gather_sizes t sizes;
-  let reeval = ref 0 and cuts = ref 0 in
+  let fi_off = fl.Netlist.fi_off and fo_off = fl.Netlist.fo_off in
   let lvl_off = fl.Netlist.lvl_off in
+  let todo = t.todo and dirty = t.dirty in
+  let cuts = ref 0 and reeval = ref 0 in
   for l = 0 to Array.length lvl_off - 2 do
-    let lo = lvl_off.(l) and hi = lvl_off.(l + 1) in
     (* The level's dirty subset, in ascending new-id order (within a
-       level that coincides with ascending old-id order). *)
+       level that coincides with ascending old-id order); a branch-free
+       compaction, as the mask is dense in a wide cone. *)
+    let lo = lvl_off.(l) and hi = lvl_off.(l + 1) in
     let k = ref 0 in
     for id = lo to hi - 1 do
-      if t.dirty.(id) then begin
-        t.todo.(!k) <- id;
-        incr k
-      end
+      Array.unsafe_set todo !k id;
+      k := !k + (Char.code (Bytes.unsafe_get dirty id) land 1)
     done;
-    if !k > 0 then begin
-      recompute_ids t t.todo !k;
-      reeval := !reeval + !k;
-      for i = 0 to !k - 1 do
-        let id = t.todo.(i) in
-        if t.changed_local.(id) then t.stamp_local.(id) <- t.version;
-        if t.changed.(id) then begin
-          t.stamp_arrival.(id) <- t.version;
-          t.stamp_bumps <- t.stamp_bumps + 1;
-          for j = fl.Netlist.fo_off.(id) to fl.Netlist.fo_off.(id + 1) - 1 do
-            mark t fl.Netlist.fo_consumer.(j)
-          done
-        end
-        else incr cuts
+    let k = !k in
+    reeval := !reeval + k;
+    (match t.pool with
+    | Some p when Util.Pool.size p > 1 && k >= 2 * Arena.level_grain ->
+        let b0 = todo.(0) and b1 = todo.(k - 1) + 1 in
+        Arena.stage_fanin a b0 b1;
+        Arena.stage_fanout a b0 b1;
+        let s0 = fi_off.(b0) and f0 = fo_off.(b0) in
+        Util.Pool.parallel_for ~grain:Arena.level_grain ~align:8 p ~n:k (fun i ->
+            let id = Array.unsafe_get todo i in
+            Bytes.unsafe_set t.chg id (Char.unsafe_chr (eval_tracked t s0 f0 id)));
+        for i = 0 to k - 1 do
+          let id = todo.(i) in
+          if settle t id (Char.code (Bytes.unsafe_get t.chg id)) then incr cuts
+        done
+    | _ ->
+        let i = ref 0 in
+        while !i < k do
+          let b0 = todo.(!i) in
+          let local = ref (Bytes.unsafe_get dirty b0 = local_dirty) in
+          let j = ref (!i + 1) in
+          while
+            !j < k
+            && todo.(!j) - todo.(!j - 1) <= segment_gap
+            && todo.(!j) < b0 + Arena.stage_block
+          do
+            if Bytes.unsafe_get dirty todo.(!j) = local_dirty then local := true;
+            incr j
+          done;
+          let b1 = todo.(!j - 1) + 1 in
+          Arena.stage_fanin a b0 b1;
+          if !local then Arena.stage_fanout a b0 b1;
+          let s0 = fi_off.(b0) and f0 = fo_off.(b0) in
+          for q = !i to !j - 1 do
+            let id = todo.(q) in
+            if settle t id (eval_tracked t s0 f0 id) then incr cuts
+          done;
+          i := !j
+        done);
+    Bytes.unsafe_fill dirty lo (hi - lo) '\000'
+  done;
+  Arena.fold_pos a;
+  t.st.s_reeval <- t.st.s_reeval + !reeval;
+  Util.Instr.add c_reeval !reeval;
+  !cuts
+
+(* Seed the dirty set from the delta against [t.osz]: each changed gate,
+   plus every gate fanin of it — the driver's load (hence delay and
+   arrival) depends on the consumer's size.  Copies the changed sizes
+   into [t.osz] and the arena's new-id sizes plane; false when nothing
+   changed.  Only the changed entries are validated (the others equal
+   sizes validated before); an invalid one drops the seeds, leaves the
+   engine to a full sweep and raises [Netlist.check_sizes]' error for
+   the whole vector, whose lowest offending id is among them. *)
+let seed_delta t (sizes : float array) =
+  let fl = t.a.Arena.flat in
+  let perm = fl.Netlist.perm in
+  let any = ref false in
+  for i = 0 to t.n - 1 do
+    let s = Array.unsafe_get sizes i in
+    if not (same s (Array.unsafe_get t.osz i)) then begin
+      if not (Netlist.size_in_bounds t.net i s) then begin
+        Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+        t.f_valid <- false;
+        Netlist.check_sizes t.net sizes
+      end;
+      any := true;
+      Array.unsafe_set t.osz i s;
+      let id = Array.unsafe_get perm i in
+      Clark.vset t.a.Arena.sizes id s;
+      Bytes.unsafe_set t.dirty id local_dirty;
+      for j = fl.Netlist.fi_off.(id) to fl.Netlist.fi_off.(id + 1) - 1 do
+        let e = fl.Netlist.fi_node.(j) in
+        if e >= 0 then Bytes.unsafe_set t.dirty e local_dirty
       done
     end
   done;
-  List.iter (fun id -> t.dirty.(id) <- false) t.marked;
-  t.marked <- [];
-  refold_pos t;
-  t.st.s_reeval <- t.st.s_reeval + !reeval;
-  t.st.s_cutoffs <- t.st.s_cutoffs + !cuts;
-  Util.Instr.add c_reeval !reeval;
-  Util.Instr.add c_cutoff !cuts
+  !any
 
-(* Same bitwise sizes as the last completed sweep? *)
-let sizes_unchanged t ~sizes =
+(* Every gate dirty, every size copied. *)
+let seed_full t (sizes : float array) =
+  Array.blit sizes 0 t.osz 0 t.n;
   let inv = t.a.Arena.flat.Netlist.inv_perm in
-  let same = ref true in
-  let i = ref 0 in
-  while !same && !i < t.n do
-    if not (fbits_eq sizes.(inv.(!i)) (Clark.vget t.a.Arena.sizes !i)) then
-      same := false;
-    incr i
+  for i = 0 to t.n - 1 do
+    Clark.vset t.a.Arena.sizes i (Array.unsafe_get sizes (Array.unsafe_get inv i))
   done;
-  !same
+  Bytes.fill t.dirty 0 t.n local_dirty
+
+let cache_hit t =
+  t.st.s_cache_hits <- t.st.s_cache_hits + 1;
+  Util.Instr.incr c_cache_hit
+
+let count_full_sweep t =
+  t.st.s_full_sweeps <- t.st.s_full_sweeps + 1;
+  Util.Instr.incr c_full_sweep
+
+(* A pass that raised (a size below 1 reaching the kernel, a pool
+   failure) leaves some gates updated and others not: drop the mask,
+   and make the next analyze a full sweep that counts every gate as
+   changed, so no stale stamp can let the gradient reuse a product. *)
+let run_pass t =
+  t.version <- t.version + 1;
+  t.f_valid <- false;
+  match sweep_dirty t with
+  | cuts -> cuts
+  | exception e ->
+      Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+      t.initialized <- false;
+      raise e
 
 (* Bring the engine's cached state to [sizes]. *)
 let analyze_state t ~sizes =
-  Netlist.check_sizes t.net sizes;
+  if not (t.f_valid && (not (canonical t)) && Array.length sizes = t.n) then
+    Netlist.check_sizes t.net sizes;
   t.st.s_analyzes <- t.st.s_analyzes + 1;
   Util.Instr.incr c_analyze;
   Util.Instr.time t_forward @@ fun () ->
   if canonical t then begin
-    if t.f_valid && sizes_unchanged t ~sizes then begin
-      t.st.s_cache_hits <- t.st.s_cache_hits + 1;
-      Util.Instr.incr c_cache_hit
-    end
+    let i = ref 0 in
+    while !i < t.n && same sizes.(!i) t.osz.(!i) do
+      incr i
+    done;
+    if t.f_valid && !i = t.n then cache_hit t
     else begin
+      t.f_valid <- false;
       Arena.forward ?pool:t.pool ~model:t.model t.a ~sizes;
-      t.st.s_full_sweeps <- t.st.s_full_sweeps + 1;
+      Array.blit sizes 0 t.osz 0 t.n;
+      count_full_sweep t;
       t.st.s_reeval <- t.st.s_reeval + t.n;
-      Util.Instr.incr c_full_sweep;
       Util.Instr.add c_reeval t.n
     end
   end
-  else if not t.f_valid then full_sweep t ~sizes
-  else begin
-    let inv = t.a.Arena.flat.Netlist.inv_perm in
-    let changed_ids = ref [] in
-    for i = t.n - 1 downto 0 do
-      if not (fbits_eq sizes.(inv.(i)) (Clark.vget t.a.Arena.sizes i)) then
-        changed_ids := i :: !changed_ids
-    done;
-    match !changed_ids with
-    | [] ->
-        t.st.s_cache_hits <- t.st.s_cache_hits + 1;
-        Util.Instr.incr c_cache_hit
-    | ids -> incremental_sweep t ~sizes ids
-  end;
+  else if not t.f_valid then begin
+    seed_full t sizes;
+    ignore (run_pass t);
+    count_full_sweep t
+  end
+  else if seed_delta t sizes then begin
+    let cuts = run_pass t in
+    t.st.s_cutoffs <- t.st.s_cutoffs + cuts;
+    Util.Instr.add c_cutoff cuts
+  end
+  else cache_hit t;
   t.f_valid <- true;
   t.initialized <- true
 
@@ -516,6 +552,11 @@ let reverse_core t ~d_mu ~d_var =
   let a = t.a in
   let fl = a.Arena.flat in
   let n = t.n in
+  Arena.ensure_adjoint a;
+  if Array.length t.pc_version < n then begin
+    t.pc_version <- Array.make n (-1);
+    t.pc_hit <- Array.make n false
+  end;
   Bigarray.Array1.fill a.Arena.adj 0.;
   Bigarray.Array1.fill a.Arena.grad 0.;
   Bytes.fill a.Arena.active 0 (Bytes.length a.Arena.active) '\000';
@@ -574,8 +615,8 @@ let reverse_core t ~d_mu ~d_var =
           try_reuse
           && Bytes.unsafe_get slot.s_active id <> '\000'
           && t.stamp_local.(id) <= slot.s_version
-          && fbits_eq am (Clark.vget slot.s_adj (2 * id))
-          && fbits_eq av (Clark.vget slot.s_adj ((2 * id) + 1))
+          && same am (Clark.vget slot.s_adj (2 * id))
+          && same av (Clark.vget slot.s_adj ((2 * id) + 1))
           && fanin_clean t slot.s_version id
         in
         if reusable then begin

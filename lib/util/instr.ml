@@ -94,20 +94,25 @@ let observations h = Atomic.get h.observations
    already in the build); [Sys.time] would sum CPU time over domains. *)
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(* Allocation is tracked per timed section through [Gc.counters] deltas
-   (cheap: reads the current domain's allocation pointers, no heap
-   walk).  The bookkeeping itself allocates a few words per call (the
-   counters tuple and closure), so enabled-mode figures carry a small
-   constant per-call overhead; with instrumentation disabled the hot
-   path is still a single load-and-branch. *)
+(* Allocation is tracked per timed section through [Gc.minor_words]
+   and [Gc.counters] deltas (cheap: both read the current domain's
+   allocation pointers, no heap walk).  The minor count comes from
+   [Gc.minor_words], which includes the words still in the minor heap:
+   [Gc.counters]' minor count leaves them out, so a section in which a
+   minor collection lands would be charged with everything allocated
+   since the previous one.  The bookkeeping itself allocates a few
+   words per call (the counters tuple and closure), so enabled-mode
+   figures carry a small constant per-call overhead; with
+   instrumentation disabled the hot path is still a single
+   load-and-branch. *)
 let time t f =
   if not (Atomic.get on) then f ()
   else begin
     let t0 = now_ns () in
-    let m0, p0, _ = Gc.counters () in
+    let m0 = Gc.minor_words () and _, p0, _ = Gc.counters () in
     Fun.protect
       ~finally:(fun () ->
-        let m1, p1, _ = Gc.counters () in
+        let m1 = Gc.minor_words () and _, p1, _ = Gc.counters () in
         Atomic.incr t.calls;
         ignore (Atomic.fetch_and_add t.ns (now_ns () - t0));
         ignore (Atomic.fetch_and_add t.minor_w (int_of_float (m1 -. m0)));

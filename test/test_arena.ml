@@ -261,6 +261,140 @@ let test_loader_sweeps_match_oracle () =
 
 (* ---- zero-allocation regression --------------------------------------------- *)
 
+(* ---- uninitialised planes ------------------------------------------------------
+
+   Arena planes are not zero-filled, and the adjoint planes come into
+   being on the first reverse sweep: every sweep must write a slot
+   before it reads it.  These tests NaN-fill every plane but the
+   primary-input tails of [arr] and [asens] (the only slots no sweep
+   writes; [create] zeroes them) and require sweeps and gradients
+   bit-identical to an arena that was never poisoned. *)
+
+let grid17 = Varmodel.make ~grid:4 ~global_frac:0.25 ~grid_frac:0.25 ()
+
+let poison (a : Sta.Arena.t) =
+  Sta.Arena.ensure_adjoint a;
+  let fill v = Bigarray.Array1.fill v Float.nan in
+  let fill_head v len = Bigarray.Array1.fill (Bigarray.Array1.sub v 0 len) Float.nan in
+  List.iter fill
+    Sta.Arena.
+      [
+        a.sizes; a.load; a.del; a.pre; a.opnd; a.fosz; a.pp; a.adj; a.dmu_t; a.fadj;
+        a.grad; a.presens; a.sadj; a.fsadj; a.cpp;
+      ];
+  fill_head a.Sta.Arena.arr (2 * a.Sta.Arena.n);
+  fill_head a.Sta.Arena.asens (max 1 (a.Sta.Arena.p * a.Sta.Arena.n));
+  Bytes.fill a.Sta.Arena.active 0 (Bytes.length a.Sta.Arena.active) '\255'
+
+let poison_sizes net k =
+  let rng = Util.Rng.keyed 31 ~key:k in
+  let maxs = Netlist.max_sizes net in
+  Array.map (fun m -> Util.Rng.uniform rng ~lo:1.0 ~hi:m) maxs
+
+(* A fresh arena, poisoned before every sweep, against a clean one: the
+   independent and the p = 17 canonical arena, at 1, 2 and 4 domains. *)
+let test_poisoned_arena_planes () =
+  let net = Generate.apex1_like () in
+  List.iter
+    (fun (vname, varmodel) ->
+      List.iter
+        (fun (jobs, pool) ->
+          let clean = Sta.Arena.create ~varmodel net in
+          let dirty = Sta.Arena.create ~varmodel net in
+          for k = 0 to 3 do
+            let sizes = poison_sizes net k and _, seed = seed_for k in
+            let msg = Printf.sprintf "%s jobs=%d point %d" vname jobs k in
+            poison dirty;
+            let r0, g0 =
+              Sta.Ssta.value_and_gradient ~arena:clean ~varmodel ~model net ~sizes ~seed
+            in
+            let r1, g1 =
+              Sta.Ssta.value_and_gradient ?pool ~arena:dirty ~varmodel ~model net ~sizes
+                ~seed
+            in
+            check_results_identical msg r0 r1;
+            check_floats_identical (msg ^ ": grad") g0 g1
+          done)
+        pools)
+    [ ("independent", Varmodel.independent); ("p=17", grid17) ]
+
+(* An incremental engine whose arena was poisoned when it was made:
+   analyses, sparse deltas and both basis-seed gradients against a
+   from-scratch sweep. *)
+let test_poisoned_incr_planes () =
+  let net = Generate.apex1_like () in
+  let n = Netlist.n_gates net in
+  List.iter
+    (fun (vname, varmodel) ->
+      List.iter
+        (fun (jobs, pool) ->
+          let eng = Sta.Incr.create ?pool ~varmodel ~model net in
+          poison (Sta.Incr.arena eng);
+          let clean = Sta.Arena.create ~varmodel net in
+          let sizes = poison_sizes net 7 in
+          let rng = Util.Rng.keyed 37 ~key:jobs in
+          for k = 0 to 5 do
+            let msg = Printf.sprintf "%s jobs=%d step %d" vname jobs k in
+            if k > 0 then
+              for _ = 1 to 4 do
+                let g = Util.Rng.int rng n in
+                sizes.(g) <- Float.min 3. (sizes.(g) +. 0.5)
+              done;
+            check_results_identical msg
+              (Sta.Ssta.analyze ~arena:clean ~varmodel ~model net ~sizes)
+              (Sta.Incr.analyze eng ~sizes);
+            List.iter
+              (fun seed ->
+                check_floats_identical (msg ^ ": grad")
+                  (snd (Sta.Ssta.value_and_gradient ~arena:clean ~varmodel ~model net ~sizes ~seed))
+                  (Sta.Incr.gradient eng ~sizes ~seed))
+              [ basis_mu; basis_var ]
+          done)
+        pools)
+    [ ("independent", Varmodel.independent); ("p=17", grid17) ]
+
+(* An engine that has answered only analyses and what-ifs never
+   allocated adjoint state: each adjoint plane is still its 1-element
+   stub.  The first gradient allocates them. *)
+let adjoint_dims (a : Sta.Arena.t) =
+  let d = Bigarray.Array1.dim in
+  Sta.Arena.
+    [
+      ("pp", d a.pp); ("adj", d a.adj); ("dmu_t", d a.dmu_t);
+      ("active", Bytes.length a.active); ("fadj", d a.fadj); ("grad", d a.grad);
+      ("sadj", d a.sadj); ("fsadj", d a.fsadj); ("cpp", d a.cpp);
+    ]
+
+let test_forward_only_engine_has_no_adjoint_planes () =
+  let net = Generate.apex1_like () in
+  let target = Serve.Exec.create ~model net in
+  let served body = ignore (Serve.Exec.exec target body) in
+  served (Serve.Protocol.Analyze { sizes = Serve.Protocol.Committed });
+  for g = 0 to 9 do
+    served (Serve.Protocol.Whatif { deltas = [| (7 * g, 2.0); (g, 1.5) |] })
+  done;
+  served (Serve.Protocol.Analyze { sizes = Serve.Protocol.Uniform 1.5 });
+  let canon = Sta.Incr.create ~varmodel:grid17 ~model net in
+  ignore (Sta.Incr.analyze canon ~sizes:(Netlist.min_sizes net));
+  let arena = Sta.Arena.create net in
+  ignore (Sta.Ssta.analyze ~arena ~model net ~sizes:(Netlist.min_sizes net));
+  List.iter
+    (fun (who, a) ->
+      List.iter
+        (fun (plane, dim) ->
+          if dim > 1 then Alcotest.failf "%s: adjoint plane %s holds %d slots" who plane dim)
+        (adjoint_dims a))
+    [
+      ("served engine", Sta.Incr.arena target.Serve.Exec.incr);
+      ("p=17 engine", Sta.Incr.arena canon);
+      ("analysed arena", arena);
+    ];
+  served
+    (Serve.Protocol.Gradient { sizes = Serve.Protocol.Committed; seed = Serve.Protocol.Seed_mu });
+  let a = Sta.Incr.arena target.Serve.Exec.incr in
+  Alcotest.(check int) "a gradient allocates the gradient plane" (Netlist.n_gates net)
+    (Bigarray.Array1.dim a.Sta.Arena.grad)
+
 let words_per_eval ~reps f =
   f ();
   Gc.full_major ();
@@ -380,6 +514,11 @@ let () =
           Alcotest.test_case "satellite engines" `Quick test_engines_arena_identical;
           Alcotest.test_case "dsta propagate_into" `Quick
             test_propagate_into_identical;
+          Alcotest.test_case "poisoned arena planes" `Quick test_poisoned_arena_planes;
+          Alcotest.test_case "poisoned incremental planes" `Quick
+            test_poisoned_incr_planes;
+          Alcotest.test_case "forward-only engines hold no adjoint planes" `Quick
+            test_forward_only_engine_has_no_adjoint_planes;
           Alcotest.test_case "netlist mismatch rejected" `Quick
             test_arena_netlist_mismatch;
           q prop_random_dag_differential;

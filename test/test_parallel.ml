@@ -158,6 +158,44 @@ let test_instr_enabled_counts () =
       Alcotest.(check int) "interned" 43 (Util.Instr.count c));
   Util.Instr.reset ()
 
+(* A timed section is charged its own allocation even when a minor
+   collection lands inside it: the section fills most of a fresh minor
+   heap with short-lived words it drops, so its own small allocation
+   (a [k]-float array, [k + 1] words) triggers the collection. *)
+let test_instr_minor_collection_inside () =
+  Util.Instr.reset ();
+  Util.Instr.enable ();
+  Fun.protect ~finally:Util.Instr.disable (fun () ->
+      let t = Util.Instr.timer "test.minor_gc" in
+      let heap = (Gc.get ()).Gc.minor_heap_size in
+      (* Outside the section: fill the minor heap to within a few words
+         of full, in small blocks that die at once. *)
+      Gc.minor ();
+      let before = Gc.minor_words () in
+      while Gc.minor_words () -. before < float_of_int (heap - 64) do
+        ignore (Sys.opaque_identity (ref 0))
+      done;
+      let collections = (Gc.quick_stat ()).Gc.minor_collections in
+      let k = 256 in
+      let own () =
+        let a = Array.make k 0. in
+        for i = 0 to 3 do
+          ignore (Sys.opaque_identity (Array.make k (float_of_int i)))
+        done;
+        a
+      in
+      ignore (Sys.opaque_identity (Util.Instr.time t own));
+      Alcotest.(check bool) "a minor collection fell inside the section" true
+        ((Gc.quick_stat ()).Gc.minor_collections > collections);
+      let s = Util.Instr.snapshot () in
+      let w = (List.assoc "test.minor_gc" s.Util.Instr.timers).Util.Instr.minor_words in
+      (* Five (k + 1)-word arrays, plus the timer's own few words. *)
+      let own_words = 5 * (k + 1) in
+      if w < own_words || w > own_words + 64 then
+        Alcotest.failf "section charged %d minor words, its own allocation is %d" w
+          own_words);
+  Util.Instr.reset ()
+
 let test_instr_ssta_counters () =
   Util.Instr.reset ();
   Util.Instr.enable ();
@@ -328,6 +366,8 @@ let () =
           test_case "disabled is inert" `Quick test_instr_disabled_is_inert;
           test_case "enabled counts" `Quick test_instr_enabled_counts;
           test_case "ssta counters" `Quick test_instr_ssta_counters;
+          test_case "minor collection inside a section" `Quick
+            test_instr_minor_collection_inside;
           test_case "json shape" `Quick test_instr_json_shape;
         ] );
       ( "bit-identity",

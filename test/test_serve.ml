@@ -770,6 +770,88 @@ let test_exec_bad_requests () =
   | Serve.Protocol.Error { code = Serve.Protocol.Bad_request; _ } -> ()
   | p -> Alcotest.failf "wrong-length sizes answered %s" (render p)
 
+(* A what-if applies its deltas in the target's scratch and validates
+   only them: the answer must still be the batch analysis at the
+   committed sizes plus the deltas, a later delta of a gate overrides an
+   earlier one, an invalid delta is refused with [check_sizes]' message
+   for the lowest offending gate, and no request leaks into the next. *)
+let test_exec_whatif_deltas () =
+  let net = netlist "apex2" in
+  let target = Serve.Exec.create ~model net in
+  let with_deltas base deltas =
+    let sizes = Array.copy base in
+    Array.iter (fun (g, s) -> sizes.(g) <- s) deltas;
+    sizes
+  in
+  let whatif deltas = Serve.Exec.exec target (Serve.Protocol.Whatif { deltas }) in
+  let expect_batch msg deltas =
+    Alcotest.(check string) msg
+      (render (batch_analysis net ~sizes:(with_deltas target.Serve.Exec.sizes deltas)))
+      (render (whatif deltas))
+  in
+  expect_batch "two deltas" [| (3, 2.0); (40, 1.5) |];
+  expect_batch "later delta wins" [| (7, 0.5); (7, 2.5) |];
+  let refused deltas =
+    let want =
+      match Circuit.Netlist.check_sizes net (with_deltas target.Serve.Exec.sizes deltas) with
+      | () -> Alcotest.fail "test deltas are valid"
+      | exception Invalid_argument m -> m
+    in
+    match whatif deltas with
+    | Serve.Protocol.Error { code = Serve.Protocol.Bad_request; message } ->
+        Alcotest.(check string) "check_sizes' message" want message
+    | p -> Alcotest.failf "invalid what-if answered %s" (render p)
+  in
+  refused [| (50, 9.0); (12, 0.5); (30, 2.0) |];
+  refused [| (20, 2.0); (20, 0.25) |];
+  expect_batch "nothing leaked from the refused ones" [| (50, 1.25) |];
+  (* A replaced committed array is picked up by the next what-if. *)
+  target.Serve.Exec.sizes <- Array.make (Circuit.Netlist.n_gates net) 1.5;
+  expect_batch "new committed sizes" [| (12, 2.0) |]
+
+(* A warm what-if costs O(deltas) words plus its reply: no n-sized copy
+   of the committed sizes, no per-gate snapshot, no allocation per
+   re-evaluated gate.  Release only: a dev build boxes the sweep kernels'
+   floats. *)
+let test_exec_whatif_words () =
+  if not (Release_profile.kernels_inlined ()) then Alcotest.skip ();
+  let net =
+    Circuit.Generate.random_dag
+      {
+        Circuit.Generate.default_spec with
+        n_gates = 6_000;
+        n_pis = 75;
+        target_depth = 24;
+        seed = 3;
+      }
+  in
+  let n = Circuit.Netlist.n_gates net in
+  let target = Serve.Exec.create ~model net in
+  let rng = Util.Rng.keyed 9 ~key:0 in
+  let request k =
+    Serve.Protocol.Whatif
+      {
+        deltas =
+          Array.init k (fun _ ->
+              (Util.Rng.int rng n, 1. +. Float.round (4. *. Util.Rng.float rng) /. 2.));
+      }
+  in
+  ignore (Serve.Exec.exec target (request 4));
+  let worst = ref 0. in
+  for k = 1 to 8 do
+    for _ = 1 to 3 do
+      let body = request k in
+      let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+      ignore (Sys.opaque_identity (Serve.Exec.exec target body));
+      let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
+      let words = m1 -. m0 +. (j1 -. j0) -. (p1 -. p0) in
+      worst := Float.max !worst (words -. (16. *. float_of_int k));
+      if words > 128. +. (16. *. float_of_int k) then
+        Alcotest.failf "a %d-delta what-if on %d gates allocated %.0f words" k n words
+    done
+  done;
+  Printf.printf "worst what-if: %.0f words beyond 16 per delta\n" !worst
+
 let test_exec_size_commits () =
   let net = netlist "fig2" in
   let target = Serve.Exec.create ~model net in
@@ -1258,6 +1340,8 @@ let () =
             test_exec_degraded_and_timeout;
           Alcotest.test_case "bad requests" `Quick test_exec_bad_requests;
           Alcotest.test_case "size commits" `Quick test_exec_size_commits;
+          Alcotest.test_case "what-if deltas" `Quick test_exec_whatif_deltas;
+          Alcotest.test_case "what-if words (release only)" `Quick test_exec_whatif_words;
         ] );
       ( "server",
         [

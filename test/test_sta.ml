@@ -107,10 +107,12 @@ let record_required net ~gate_delay ~deadline =
   done;
   req
 
+(* Minor words from [Gc.minor_words]: [Gc.counters]' minor count leaves
+   out the words still in the minor heap. *)
 let allocated_words f =
-  let m0, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
   let r = f () in
-  let m1, p1, j1 = Gc.counters () in
+  let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
   (r, m1 -. m0 +. (j1 -. j0) -. (p1 -. p0))
 
 (* A seeded .bench text of [n] two-input gates over 40 inputs: each gate
