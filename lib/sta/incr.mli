@@ -21,12 +21,15 @@
       dirty alongside it, or
     - the arrival of one of its fanin gates changed.
 
-    Dirtiness propagates level by level ({!Circuit.Netlist.level_buckets})
-    with {e early cutoff}: if a re-evaluated gate's arrival is
-    bit-identical to its cached value, its consumers are not marked.  Clean gates keep their cached
-    values, which are bit-identical to what a from-scratch sweep would
-    produce because every in-place Clark kernel ({!Statdelay.Clark})
-    is replayed with bit-identical operands on the same arena planes.
+    Dirtiness propagates level by level (the arena's level-major id
+    ranges) with {e early cutoff}: if a re-evaluated gate's arrival is
+    bit-identical to its cached value, its consumers are not marked.
+    Clean gates keep their cached values, which are bit-identical to
+    what a from-scratch sweep would produce because a dirty gate is
+    re-evaluated by the sweep's own per-gate kernel
+    ({!Arena.eval_gate}, staged the same way) on the same arena planes
+    — only its fold half ({!Arena.eval_fold}) when its size and load
+    are unchanged, which gives the same arrival bits.
 
     {2 Gradient}
 
